@@ -48,6 +48,13 @@ class TemperatureField:
         """Node temperatures in the mesh's canonical node order."""
         return np.concatenate([self.T_fuel.ravel(), self.T_clad.ravel()])
 
+    @classmethod
+    def from_flat(cls, mesh: RodMesh, T: np.ndarray) -> "TemperatureField":
+        """Inverse of flatten: node temperatures in canonical order."""
+        nf = mesh.n_fuel_nodes
+        return cls(mesh=mesh, T_fuel=T[:nf].reshape(mesh.nz_fuel, mesh.nr_fuel),
+                   T_clad=T[nf:].reshape(mesh.nz, mesh.nr_clad))
+
     @property
     def wall(self) -> np.ndarray:
         """Cladding outer-surface temperature per axial node."""

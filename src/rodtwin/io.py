@@ -50,9 +50,12 @@ def _read_csv(path):
 # temperature fields
 # ---------------------------------------------------------------------------
 
+def _field_rows_to_csv(path, r, z, region, T) -> None:
+    _write_csv(path, ["r", "z", "region", "T"], [r, z, region, T])
+
+
 def field_to_csv(field: TemperatureField, path) -> None:
-    r, z, region = field.mesh.node_table()
-    _write_csv(path, ["r", "z", "region", "T"], [r, z, region, field.flatten()])
+    _field_rows_to_csv(path, *field.mesh.node_table(), field.flatten())
 
 
 def field_arrays_from_csv(path):
@@ -68,10 +71,7 @@ def field_from_csv(path, mesh: RodMesh) -> TemperatureField:
     if T.size != mesh.n_nodes:
         raise ConfigurationError(
             f"field file has {T.size} nodes but the mesh has {mesh.n_nodes}")
-    nf = mesh.n_fuel_nodes
-    return TemperatureField(mesh=mesh,
-                            T_fuel=T[:nf].reshape(mesh.nz_fuel, mesh.nr_fuel),
-                            T_clad=T[nf:].reshape(mesh.nz, mesh.nr_clad))
+    return TemperatureField.from_flat(mesh, T)
 
 
 def channel_to_csv(state: ChannelState, path) -> None:
@@ -114,8 +114,10 @@ def save_dataset(ds: Dataset, outdir) -> None:
     for c in ds.cases:
         d = outdir / "cases" / c.spec.case_id
         d.mkdir(parents=True, exist_ok=True)
-        field_to_csv(c.solution.field, d / "field.csv")
-        channel_to_csv(c.solution.channel, d / "channel.csv")
+        # from the case's own arrays: a loaded dataset has no solution
+        _field_rows_to_csv(d / "field.csv", c.r, c.z, c.region, c.T)
+        if c.solution is not None:
+            channel_to_csv(c.solution.channel, d / "channel.csv")
         sensors_to_csv(c.sensors, d / "sensors.csv")
     with open(outdir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2)
@@ -157,7 +159,7 @@ def dataset_mesh(ds: Dataset) -> RodMesh:
 def save_checkpoint(model: KhModel, path) -> None:
     """Single-JSON checkpoint: architecture, normalization, eta, weights."""
     blob = {
-        "architecture": {"layer_sizes": list(model.layer_sizes),
+        "architecture": {"layer_sizes": list(LAYER_SIZES),
                          "activation": "tanh", "stacks": ["G", "dG"]},
         "normalization": model.norm.__dict__,
         "eta": model.eta,
@@ -171,16 +173,26 @@ def save_checkpoint(model: KhModel, path) -> None:
 
 
 def load_checkpoint(path) -> KhModel:
-    with open(path) as f:
-        blob = json.load(f)
-    sizes = tuple(blob["architecture"]["layer_sizes"])
-    if sizes != LAYER_SIZES:
-        raise ConfigurationError(f"unsupported layer sizes {sizes}")
-    stacks = {name: {k: np.array(v) for k, v in blob["stacks"][name].items()}
-              for name in ("G", "dG")}
-    return KhModel(G_stack=stacks["G"], dG_stack=stacks["dG"],
-                   norm=NormConstants(**blob["normalization"]),
-                   eta=blob["eta"], layer_sizes=sizes)
+    """Raises ConfigurationError on bad JSON, a missing key or a layer shape
+    that does not match LAYER_SIZES."""
+    try:
+        with open(path) as f:
+            blob = json.load(f)
+        sizes = tuple(blob["architecture"]["layer_sizes"])
+        if sizes != LAYER_SIZES:
+            raise ConfigurationError(f"unsupported layer sizes {sizes}")
+        stacks = {name: {k: np.array(v, float)
+                         for k, v in blob["stacks"][name].items()}
+                  for name in ("G", "dG")}
+        return KhModel(G_stack=stacks["G"], dG_stack=stacks["dG"],
+                       norm=NormConstants(**blob["normalization"]),
+                       eta=blob["eta"])
+    except ConfigurationError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        # ValueError covers bad JSON and the ShapeError of a wrong layer shape
+        raise ConfigurationError(
+            f"malformed checkpoint {path}: {type(e).__name__}: {e}") from e
 
 
 def history_to_csv(history: TrainHistory, path) -> None:

@@ -6,12 +6,17 @@ physical layer forms phi_ij = u_j * dG_ij - G_ij * dhat_j and the integration
 layer contracts it with fixed boundary quadrature weights to give the
 normalized temperature estimate at i. Training is plain minibatch Adam on MSE
 with hand-written reverse-mode gradients; no autodiff framework.
+
+Both stacks live in one flat vector ``KhModel.theta`` with named per-layer
+views; gradients share its layout, so Adam is a few vector operations.
+Checkpoints stay per-layer JSON.
 """
 
 from __future__ import annotations
 
-import time
+import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -23,7 +28,16 @@ from .mesh import RodMesh
 from .pipeline import Dataset, NormConstants, SensorSet
 
 LAYER_SIZES = (5, 128, 64, 1)
-PARAM_KEYS = ("W1", "b1", "W2", "b2", "W3", "b3")
+# one stack's parameters in theta order
+PARAM_SHAPES = {f"{kind}{li + 1}": shape
+                for li, (fan_in, fan_out) in enumerate(zip(LAYER_SIZES,
+                                                           LAYER_SIZES[1:]))
+                for kind, shape in (("W", (fan_in, fan_out)), ("b", (fan_out,)))}
+PARAM_KEYS = tuple(PARAM_SHAPES)
+_BOUNDS = list(accumulate((math.prod(s) for s in PARAM_SHAPES.values()),
+                          initial=0))
+STACK_SIZE = _BOUNDS[-1]
+N_PARAMS = 2 * STACK_SIZE
 
 DIVERGENCE_FACTOR = 10.0
 DIVERGENCE_PATIENCE = 50
@@ -33,57 +47,60 @@ DIVERGENCE_PATIENCE = 50
 # dense stacks
 # ---------------------------------------------------------------------------
 
-def init_stack(rng: np.random.Generator, sizes=LAYER_SIZES) -> dict:
-    """Uniform +-1/sqrt(fan_in) initialization of one dense stack."""
-    params = {}
-    for li in range(3):
-        fan_in, fan_out = sizes[li], sizes[li + 1]
-        s = 1.0 / np.sqrt(fan_in)
-        params[f"W{li + 1}"] = rng.uniform(-s, s, size=(fan_in, fan_out))
-        params[f"b{li + 1}"] = np.zeros(fan_out)
-    return params
+def init_stack(rng: np.random.Generator) -> dict:
+    """Uniform +-1/sqrt(fan_in) weights and zero biases for one dense stack."""
+    return {k: np.zeros(shape) if k[0] == "b" else
+            rng.uniform(-1.0 / np.sqrt(shape[0]), 1.0 / np.sqrt(shape[0]),
+                        size=shape) for k, shape in PARAM_SHAPES.items()}
 
 
-def _check_shapes(params: dict, n_features: int):
-    try:
-        if params["W1"].shape[0] != n_features:
-            raise ShapeError(f"stack expects {params['W1'].shape[0]} features, "
-                             f"got {n_features}")
-        if params["W1"].shape[1] != params["W2"].shape[0] \
-                or params["W2"].shape[1] != params["W3"].shape[0] \
-                or params["W3"].shape[1] != 1:
-            raise ShapeError("inconsistent layer shapes")
-    except (KeyError, AttributeError, IndexError) as e:
-        raise ShapeError(f"malformed stack parameters: {e}") from e
+def stack_views(flat: np.ndarray) -> tuple[dict, dict]:
+    """(G, dG) dicts of named per-layer views into a vector in theta's layout."""
+    return tuple({k: flat[o + lo:o + hi].reshape(shape)
+                  for (k, shape), lo, hi in zip(PARAM_SHAPES.items(), _BOUNDS,
+                                                _BOUNDS[1:])}
+                 for o in (0, STACK_SIZE))
+
+
+def _check_stack(params: dict, name: str = "stack") -> None:
+    """Raise ShapeError unless params has exactly the LAYER_SIZES layers."""
+    shapes = ({k: np.shape(v) for k, v in params.items()}
+              if isinstance(params, dict) else type(params).__name__)
+    if shapes != PARAM_SHAPES:
+        raise ShapeError(f"{name} shapes {shapes}, expected {PARAM_SHAPES}")
 
 
 def dense_forward(params: dict, x) -> np.ndarray:
     """y = W3.tanh(W2.tanh(W1 x + b1) + b2) + b3 (linear output)."""
     x = np.atleast_2d(np.asarray(x, float))
-    _check_shapes(params, x.shape[1])
-    a1 = np.tanh(x @ params["W1"] + params["b1"])
-    a2 = np.tanh(a1 @ params["W2"] + params["b2"])
-    return (a2 @ params["W3"] + params["b3"]).ravel()
+    _check_stack(params)
+    if x.shape[1] != LAYER_SIZES[0]:
+        raise ShapeError(f"expected {LAYER_SIZES[0]} features, got {x.shape[1]}")
+    return _dense_forward_cache(params, x)[0]
 
 
 def _dense_forward_cache(params: dict, x: np.ndarray):
-    a1 = np.tanh(x @ params["W1"] + params["b1"])
-    a2 = np.tanh(a1 @ params["W2"] + params["b2"])
-    y = (a2 @ params["W3"] + params["b3"]).ravel()
-    return y, (x, a1, a2)
+    acts = [x]
+    for li in (1, 2, 3):
+        z = acts[-1] @ params[f"W{li}"]
+        z += params[f"b{li}"]
+        acts.append(np.tanh(z, out=z) if li < 3 else z)
+    return acts.pop().ravel(), acts
 
 
-def _dense_backward(params: dict, cache, dy: np.ndarray) -> dict:
-    x, a1, a2 = cache
-    dz3 = dy[:, None]
-    grads = {"W3": a2.T @ dz3, "b3": dz3.sum(axis=0)}
-    dz2 = (dz3 @ params["W3"].T) * (1.0 - a2 * a2)
-    grads["W2"] = a1.T @ dz2
-    grads["b2"] = dz2.sum(axis=0)
-    dz1 = (dz2 @ params["W2"].T) * (1.0 - a1 * a1)
-    grads["W1"] = x.T @ dz1
-    grads["b1"] = dz1.sum(axis=0)
-    return grads
+def _dense_backward(params: dict, acts, dy: np.ndarray, grads: dict) -> None:
+    """Write the stack's gradients into the views grads; overwrites acts."""
+    dz = dy[:, None]
+    for li in (3, 2, 1):
+        a = acts[li - 1]
+        np.matmul(a.T, dz, out=grads[f"W{li}"])
+        dz.sum(axis=0, out=grads[f"b{li}"])
+        if li > 1:
+            w_t = params[f"W{li}"].T     # one column: outer product, no GEMM
+            dz = dz * w_t if dz.shape[1] == 1 else dz @ w_t
+            np.multiply(a, a, out=a)     # tanh' = 1 - a^2, in place
+            np.subtract(1.0, a, out=a)
+            dz *= a
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +141,8 @@ def boundary_features(points: np.ndarray, sensors_rz: np.ndarray,
     diag = np.hypot(2.0 * norm.r_scale, 2.0 * norm.z_scale)
     rho = np.hypot(r100[:, None] - rj100[None, :], z[:, None] - zj[None, :]) / diag
 
-    n, mcount = pts.shape[0], sns.shape[0]
-    feats = np.empty((n, mcount, 5))
-    feats[:, :, 0] = rn[:, None]
-    feats[:, :, 1] = zn[:, None]
-    feats[:, :, 2] = zjn[None, :]
-    feats[:, :, 3] = dzn
-    feats[:, :, 4] = rho
-    return feats
+    return np.stack(np.broadcast_arrays(rn[:, None], zn[:, None], zjn[None, :],
+                                        dzn, rho), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -140,20 +151,33 @@ def boundary_features(points: np.ndarray, sensors_rz: np.ndarray,
 
 @dataclass
 class KhModel:
+    """The given G/dG stacks are copied into theta and replaced by views."""
     G_stack: dict
     dG_stack: dict
     norm: NormConstants
     eta: float
-    layer_sizes: tuple = LAYER_SIZES
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.theta = np.empty(N_PARAMS)
+        views = stack_views(self.theta)
+        for name, given, view in zip(("G", "dG"), (self.G_stack, self.dG_stack),
+                                     views):
+            _check_stack(given, name)
+            for k in PARAM_KEYS:
+                view[k][...] = given[k]
+        self.G_stack, self.dG_stack = views
+
+    def kernels(self, feats):
+        """G and dG at every (point, sensor) pair; feats (N, M, 5) -> (N, M)."""
+        flat = feats.reshape(-1, feats.shape[2])
+        return tuple(dense_forward(s, flat).reshape(feats.shape[:2])
+                     for s in (self.G_stack, self.dG_stack))
 
     def predict_normalized(self, feats, u_n, dhat_n, w):
         """Forward the full pipeline; feats (N, M, 5), sensor vectors (M,)."""
-        n, mcount, nf = feats.shape
-        flat = feats.reshape(n * mcount, nf)
-        g = dense_forward(self.G_stack, flat).reshape(n, mcount)
-        dg = dense_forward(self.dG_stack, flat).reshape(n, mcount)
-        phi = kh_physical_layer(u_n, dhat_n, g, dg)
-        return kh_integrate(phi, w)
+        g, dg = self.kernels(feats)
+        return kh_integrate(kh_physical_layer(u_n, dhat_n, g, dg), w)
 
 
 def mse_loss(predictions, truths) -> float:
@@ -183,6 +207,7 @@ def loss_and_gradients(model: KhModel, feats, u_n, dhat_n, w, y):
     """MSE loss and exact reverse-mode gradients for both stacks.
 
     feats (B, M, 5); u_n/dhat_n/w (B, M) per-sample sensor vectors; y (B,).
+    grad is a fresh vector in theta's layout; stack_views(grad) names it.
     """
     b, mcount, nf = feats.shape
     if b == 0:
@@ -190,62 +215,53 @@ def loss_and_gradients(model: KhModel, feats, u_n, dhat_n, w, y):
     flat = feats.reshape(b * mcount, nf)
     g, cache_g = _dense_forward_cache(model.G_stack, flat)
     dg, cache_d = _dense_forward_cache(model.dG_stack, flat)
-    g = g.reshape(b, mcount)
-    dg = dg.reshape(b, mcount)
-    phi = u_n * dg - g * dhat_n
+    phi = u_n * dg.reshape(b, mcount) - g.reshape(b, mcount) * dhat_n
     yhat = np.einsum("bm,bm->b", w, phi)
 
     resid = yhat - y
     loss = float(resid @ resid / b)
     dyhat = 2.0 * resid / b
     dphi = dyhat[:, None] * w
-    d_dg = (dphi * u_n).ravel()
-    d_g = (-dphi * dhat_n).ravel()
 
-    grads_g = _dense_backward(model.G_stack, cache_g, d_g)
-    grads_d = _dense_backward(model.dG_stack, cache_d, d_dg)
-    for gr in (grads_g, grads_d):
-        for v in gr.values():
-            if not np.all(np.isfinite(v)):
-                raise TrainingError("non-finite gradient encountered")
-    return loss, grads_g, grads_d
+    grad = np.empty(N_PARAMS)
+    grads_g, grads_d = stack_views(grad)
+    _dense_backward(model.G_stack, cache_g, (-dphi * dhat_n).ravel(), grads_g)
+    _dense_backward(model.dG_stack, cache_d, (dphi * u_n).ravel(), grads_d)
+    if not np.isfinite(grad).all():
+        raise TrainingError("non-finite gradient encountered")
+    return loss, grad
 
 
 @dataclass
 class AdamState:
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def for_model(cls, model: KhModel) -> "AdamState":
-        zeros = {}
-        for name, stack in (("G", model.G_stack), ("dG", model.dG_stack)):
-            for k, p in stack.items():
-                zeros[f"{name}.{k}"] = np.zeros_like(p)
-        return cls(m={k: v.copy() for k, v in zeros.items()},
-                   v={k: v.copy() for k, v in zeros.items()})
+        return cls(m=np.zeros_like(model.theta), v=np.zeros_like(model.theta))
 
 
-def adam_step(model: KhModel, state: AdamState, grads_g: dict, grads_d: dict,
+def adam_step(model: KhModel, state: AdamState, grad: np.ndarray,
               alpha: float, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> None:
-    """In-place Adam update with bias correction."""
+    """In-place Adam update of model.theta with bias correction."""
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
-    for name, stack, grads in (("G", model.G_stack, grads_g),
-                               ("dG", model.dG_stack, grads_d)):
-        for k in PARAM_KEYS:
-            key = f"{name}.{k}"
-            grad = grads[k].reshape(stack[k].shape)
-            m = state.m[key]
-            v = state.v[key]
-            m *= beta1
-            m += (1.0 - beta1) * grad
-            v *= beta2
-            v += (1.0 - beta2) * grad * grad
-            stack[k] -= alpha * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
+    step = m / bc1
+    step *= alpha
+    denom = v / bc2
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    model.theta -= step
 
 
 # ---------------------------------------------------------------------------
@@ -258,42 +274,39 @@ class TrainHistory:
     val_mse: list = field(default_factory=list)
     lr: list = field(default_factory=list)
     best_epoch: int = -1
-    wall_time: float = 0.0
 
 
-def _assemble_split(dataset: Dataset, split: str):
-    """Stack (features, u, dhat, w, y) over every (case, interior point) sample."""
-    cases = dataset.split(split)
-    if not cases:
-        raise ConfigurationError(f"dataset has no {split!r} cases")
-    norm = dataset.norm
-    feats, u, d, w, y = [], [], [], [], []
-    for c in cases:
-        pts = np.column_stack([c.r, c.z])
-        srz = np.column_stack([c.sensors.r, c.sensors.z])
-        f = boundary_features(pts, srz, norm)
-        n = f.shape[0]
-        feats.append(f)
-        u.append(np.tile(norm.norm_T(c.sensors.T), (n, 1)))
-        d.append(np.tile(norm.norm_d(c.sensors.dhat), (n, 1)))
-        w.append(np.tile(c.sensors.w, (n, 1)))
-        y.append(norm.norm_T(c.T))
-    return (np.concatenate(feats), np.concatenate(u), np.concatenate(d),
-            np.concatenate(w), np.concatenate(y))
+class _Samples:
+    """Every (case, node) sample of a split, case-major: sample i is node
+    i % N of case i // N. feats (N, M, 5) is shared by the cases; u, d, w
+    (C, M) are the per-case sensor vectors; y (C * N,) the targets."""
 
+    def __init__(self, dataset: Dataset, split: str):
+        cases = dataset.split(split)
+        if len({tuple(a.tobytes() for a in (c.r, c.z, c.sensors.r, c.sensors.z))
+                for c in cases}) > 1:
+            raise ConfigurationError(f"{split} cases differ in node/sensor layout")
+        c0, norm = cases[0], dataset.norm
+        self.feats = boundary_features(np.column_stack([c0.r, c0.z]),
+                                       np.column_stack([c0.sensors.r,
+                                                        c0.sensors.z]), norm)
+        self.u = np.stack([norm.norm_T(c.sensors.T) for c in cases])
+        self.d = np.stack([norm.norm_d(c.sensors.dhat) for c in cases])
+        self.w = np.stack([c.sensors.w for c in cases])
+        self.y = np.concatenate([norm.norm_T(c.T) for c in cases])
 
-def _full_mse(model: KhModel, arrays) -> float:
-    feats, u, d, w, y = arrays
-    n, mcount, nf = feats.shape
-    flat = feats.reshape(n * mcount, nf)
-    g = dense_forward(model.G_stack, flat).reshape(n, mcount)
-    dg = dense_forward(model.dG_stack, flat).reshape(n, mcount)
-    yhat = np.einsum("bm,bm->b", w, u * dg - g * d)
-    return mse_loss(yhat, y)
+    def take(self, sel):
+        """(feats, u, d, w, y) of the samples sel for loss_and_gradients."""
+        cs, rows = np.divmod(sel, self.feats.shape[0])
+        return (self.feats.take(rows, axis=0), self.u.take(cs, axis=0),
+                self.d.take(cs, axis=0), self.w.take(cs, axis=0),
+                self.y.take(sel))
 
-
-def _clone_params(stack: dict) -> dict:
-    return {k: v.copy() for k, v in stack.items()}
+    def mse(self, model: KhModel) -> float:
+        """MSE over every sample; each stack runs once on the node table."""
+        g, dg = model.kernels(self.feats)
+        phi = kh_physical_layer(self.u[:, None], self.d[:, None], g, dg)
+        return mse_loss(np.einsum("cm,cnm->cn", self.w, phi), self.y)
 
 
 def train(dataset: Dataset, settings: TrainSettings | None = None
@@ -307,10 +320,9 @@ def train(dataset: Dataset, settings: TrainSettings | None = None
         if not dataset.split(split):
             raise ConfigurationError(f"dataset is missing the {split!r} split")
 
-    tr = _assemble_split(dataset, "train")
-    va = _assemble_split(dataset, "validate")
-    feats, u, d, w, y = tr
-    n_samples = feats.shape[0]
+    tr = _Samples(dataset, "train")
+    va = _Samples(dataset, "validate")
+    batch_starts = range(0, tr.y.size, settings.batch_size)
 
     rng = np.random.default_rng(settings.seed)
     model = KhModel(G_stack=init_stack(rng), dG_stack=init_stack(rng),
@@ -320,33 +332,26 @@ def train(dataset: Dataset, settings: TrainSettings | None = None
     history = TrainHistory()
     best_val = np.inf
     best = None
-    initial_mse = None
     bad_epochs = 0
-    t0 = time.perf_counter()
 
     for epoch in range(settings.epochs):
         alpha = settings.fixed_lr if settings.fixed_lr is not None \
             else lr_schedule(epoch, settings.schedule)
-        perm = rng.permutation(n_samples)
+        perm = rng.permutation(tr.y.size)
         losses = 0.0
-        nb = 0
-        for start in range(0, n_samples, settings.batch_size):
-            sel = perm[start:start + settings.batch_size]
-            loss, gg, gd = loss_and_gradients(model, feats[sel], u[sel],
-                                              d[sel], w[sel], y[sel])
-            adam_step(model, state, gg, gd, alpha, settings.beta1,
+        for start in batch_starts:
+            loss, grad = loss_and_gradients(
+                model, *tr.take(perm[start:start + settings.batch_size]))
+            adam_step(model, state, grad, alpha, settings.beta1,
                       settings.beta2, settings.eps)
             losses += loss
-            nb += 1
-        train_mse = losses / nb
-        val_mse = _full_mse(model, va)
+        train_mse = losses / len(batch_starts)
+        val_mse = va.mse(model)
         history.train_mse.append(train_mse)
         history.val_mse.append(val_mse)
         history.lr.append(alpha)
 
-        if initial_mse is None:
-            initial_mse = train_mse
-        if train_mse > DIVERGENCE_FACTOR * initial_mse:
+        if train_mse > DIVERGENCE_FACTOR * history.train_mse[0]:
             bad_epochs += 1
             if bad_epochs >= DIVERGENCE_PATIENCE:
                 raise TrainingError(
@@ -357,12 +362,11 @@ def train(dataset: Dataset, settings: TrainSettings | None = None
 
         if val_mse < best_val:
             best_val = val_mse
-            best = (_clone_params(model.G_stack), _clone_params(model.dG_stack))
+            best = model.theta.copy()
             history.best_epoch = epoch
 
     if best is not None:
-        model.G_stack, model.dG_stack = best
-    history.wall_time = time.perf_counter() - t0
+        model.theta[...] = best
     return model, history
 
 
@@ -383,8 +387,4 @@ def reconstruct_field(model: KhModel, sensors: SensorSet,
     feats = boundary_features(np.column_stack([r, z]),
                               np.column_stack([sensors.r, sensors.z]), model.norm)
     t_hat = model.predict_normalized(feats, u_n, d_n, sensors.w)
-    T = model.norm.denorm_T(t_hat)
-    nf = mesh.n_fuel_nodes
-    return TemperatureField(mesh=mesh,
-                            T_fuel=T[:nf].reshape(mesh.nz_fuel, mesh.nr_fuel),
-                            T_clad=T[nf:].reshape(mesh.nz, mesh.nr_clad))
+    return TemperatureField.from_flat(mesh, model.norm.denorm_T(t_hat))

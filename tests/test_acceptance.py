@@ -20,7 +20,7 @@ from rodtwin.io import (load_checkpoint, mesh_from_config, save_checkpoint,
                         save_dataset)
 from rodtwin.khnet import (PARAM_KEYS, init_stack, kh_integrate,
                            kh_physical_layer, loss_and_gradients, lr_schedule,
-                           reconstruct_field, train)
+                           reconstruct_field, stack_views, train)
 from rodtwin.khnet import KhModel
 from rodtwin.metrics import compute_metrics
 from rodtwin.pipeline import (CaseSpec, NormConstants, burnup_sweep,
@@ -125,8 +125,8 @@ def test_criterion_4_gradient_correctness():
         d = rng.uniform(-1, 1, size=(8, 4))
         w = rng.uniform(0.1, 1, size=(8, 4))
         y = rng.uniform(-1, 1, size=8)
-        _, gg, gd = loss_and_gradients(model, feats, u, d, w, y)
-        analytic = {"G": gg, "dG": gd}
+        _, grad = loss_and_gradients(model, feats, u, d, w, y)
+        analytic = dict(zip(("G", "dG"), stack_views(grad)))
         stacks = {"G": model.G_stack, "dG": model.dG_stack}
         for _ in range(20):
             name = ("G", "dG")[rng.integers(2)]
@@ -135,9 +135,9 @@ def test_criterion_4_gradient_correctness():
             idx = tuple(rng.integers(s) for s in p.shape)
             orig = p[idx]
             p[idx] = orig + h
-            lp, _, _ = loss_and_gradients(model, feats, u, d, w, y)
+            lp, _ = loss_and_gradients(model, feats, u, d, w, y)
             p[idx] = orig - h
-            lm, _, _ = loss_and_gradients(model, feats, u, d, w, y)
+            lm, _ = loss_and_gradients(model, feats, u, d, w, y)
             p[idx] = orig
             fd = (lp - lm) / (2.0 * h)
             an = float(analytic[name][k].reshape(p.shape)[idx])

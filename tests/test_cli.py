@@ -161,6 +161,26 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
 
+    @pytest.mark.parametrize("text", [
+        '{"architecture": {"layer_sizes": [5, 128',   # truncated JSON
+        '{"architecture": {"layer_sizes": [5, 128, 64, 1]}, "eta": 1.0}',
+    ])
+    def test_malformed_checkpoint(self, tiny_cfg_path, tmp_path, capsys, text):
+        run = tmp_path / "run"
+        assert main(["simulate", "--config", tiny_cfg_path,
+                     "--out-dir", str(run)]) == EXIT_OK
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(text)
+        capsys.readouterr()
+        rc = main(["reconstruct", "--config", tiny_cfg_path,
+                   "--checkpoint", str(ckpt),
+                   "--sensors", str(run / "sensors.csv"),
+                   "--out-dir", str(tmp_path / "rec")])
+        assert rc == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["type"] == "ConfigurationError"
+
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["train", "--dataset", str(tmp_path / "nope"),
                    "--out-dir", str(tmp_path / "o")])

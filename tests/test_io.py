@@ -14,6 +14,7 @@ from rodtwin.io import (field_from_csv, field_to_csv, history_to_csv,
                         strain_report_to_json, stress_field_to_csv)
 from rodtwin.khnet import PARAM_KEYS, train
 from rodtwin.metrics import compute_metrics
+from rodtwin.pipeline import NormConstants
 
 
 class TestFieldCsv:
@@ -61,6 +62,28 @@ class TestDatasetDirectory:
             np.testing.assert_array_equal(ca.T, cb.T)
             np.testing.assert_array_equal(ca.sensors.T, cb.sensors.T)
 
+    def test_loaded_dataset_saves_and_reloads_bit_identically(self, dataset_tiny,
+                                                              tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        save_dataset(dataset_tiny, a)
+        first = load_dataset(a)
+        assert all(c.solution is None for c in first.cases)
+        save_dataset(first, b)
+        second = load_dataset(b)
+        for ca, cb in zip(first.cases, second.cases):
+            assert ca.spec == cb.spec
+            for f in ("r", "z", "T"):
+                np.testing.assert_array_equal(getattr(cb, f), getattr(ca, f))
+            assert cb.region == ca.region
+            for f in ("z", "r", "T", "T_inf", "dhat", "w"):
+                np.testing.assert_array_equal(getattr(cb.sensors, f),
+                                              getattr(ca.sensors, f))
+            for name in ("field.csv", "sensors.csv"):
+                rel = f"cases/{ca.spec.case_id}/{name}"
+                assert (b / rel).read_bytes() == (a / rel).read_bytes()
+            # channel states are not part of a loaded dataset
+            assert not (b / f"cases/{ca.spec.case_id}/channel.csv").exists()
+
     def test_repeated_save_is_byte_identical(self, dataset_tiny, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         save_dataset(dataset_tiny, a)
@@ -100,6 +123,63 @@ class TestCheckpoint:
         path.write_text(json.dumps(blob))
         with pytest.raises(ConfigurationError):
             load_checkpoint(path)
+
+
+class TestMalformedCheckpoint:
+    @pytest.fixture
+    def good_blob(self, tmp_path):
+        from rodtwin.khnet import KhModel, init_stack
+        rng = np.random.default_rng(0)
+        model = KhModel(G_stack=init_stack(rng), dG_stack=init_stack(rng),
+                        norm=NormConstants(r_center=0.2, r_scale=0.3,
+                                           z_center=1.9, z_scale=1.9,
+                                           T_center=600.0, T_scale=300.0),
+                        eta=1.0)
+        save_checkpoint(model, tmp_path / "good.json")
+        return json.loads((tmp_path / "good.json").read_text())
+
+    def _check_rejected(self, path):
+        with pytest.raises(ConfigurationError):
+            load_checkpoint(path)
+
+    def test_truncated_json(self, good_blob, tmp_path):
+        path = tmp_path / "ckpt.json"
+        text = json.dumps(good_blob)
+        path.write_text(text[:len(text) // 2])
+        self._check_rejected(path)
+
+    @pytest.mark.parametrize("key", ["stacks", "architecture", "normalization",
+                                     "eta"])
+    def test_missing_top_level_key(self, good_blob, tmp_path, key):
+        del good_blob[key]
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(good_blob))
+        self._check_rejected(path)
+
+    @pytest.mark.parametrize("stack, key, value", [
+        ("G", "W2", [[0.0] * 63] * 128),          # wrong width
+        ("dG", "b1", [0.0] * 127),                # wrong length
+        ("dG", "W3", [0.0] * 64),                 # (64,) instead of (64, 1)
+        ("G", "W1", [[0.0] * 128] * 4 + [[0.0]]), # ragged
+        ("G", "b2", "zeros"),                     # not numbers
+    ])
+    def test_wrong_layer_shape(self, good_blob, tmp_path, stack, key, value):
+        good_blob["stacks"][stack][key] = value
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(good_blob))
+        self._check_rejected(path)
+
+    def test_missing_layer(self, good_blob, tmp_path):
+        del good_blob["stacks"]["dG"]["b3"]
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(good_blob))
+        self._check_rejected(path)
+
+    def test_stack_not_a_mapping(self, good_blob, tmp_path):
+        good_blob["stacks"]["G"] = [1.0, 2.0]
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(good_blob))
+        self._check_rejected(path)
 
 
 class TestReports:

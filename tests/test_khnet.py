@@ -8,11 +8,11 @@ import pytest
 
 from rodtwin.config import TrainSettings
 from rodtwin.errors import (ConfigurationError, DomainError, ShapeError)
-from rodtwin.khnet import (AdamState, KhModel, LAYER_SIZES, PARAM_KEYS,
-                           _assemble_split, adam_step, boundary_features,
+from rodtwin.khnet import (AdamState, KhModel, LAYER_SIZES, N_PARAMS,
+                           PARAM_KEYS, _Samples, adam_step, boundary_features,
                            dense_forward, init_stack, kh_integrate,
                            kh_physical_layer, loss_and_gradients, lr_schedule,
-                           mse_loss, reconstruct_field, train)
+                           mse_loss, reconstruct_field, stack_views, train)
 from rodtwin.io import mesh_from_config
 from rodtwin.pipeline import NormConstants
 
@@ -142,7 +142,7 @@ class TestBoundaryFeatures:
         assert f[0, 0, 4] == pytest.approx(f[0, 1, 4], rel=1e-12)
 
     def test_training_features_stay_in_band(self, dataset_tiny):
-        feats, _, _, _, _ = _assemble_split(dataset_tiny, "train")
+        feats = _Samples(dataset_tiny, "train").feats
         assert np.abs(feats).max() <= 1.5
 
 
@@ -202,9 +202,9 @@ class TestGradients:
         g = dense_forward(model.G_stack, flat).reshape(b, m)
         dg = dense_forward(model.dG_stack, flat).reshape(b, m)
         y = np.einsum("bm,bm->b", w, u * dg - g * d)
-        loss, gg, gd = loss_and_gradients(model, feats, u, d, w, y)
+        loss, grad = loss_and_gradients(model, feats, u, d, w, y)
         assert loss == 0.0
-        for grads in (gg, gd):
+        for grads in stack_views(grad):
             for k in PARAM_KEYS:
                 assert np.all(grads[k] == 0.0)
 
@@ -214,8 +214,8 @@ class TestGradients:
             model = _random_model(seed)
             rng = np.random.default_rng(100 + seed)
             feats, u, d, w, y = _random_batch(rng)
-            _, gg, gd = loss_and_gradients(model, feats, u, d, w, y)
-            analytic = {"G": gg, "dG": gd}
+            _, grad = loss_and_gradients(model, feats, u, d, w, y)
+            analytic = dict(zip(("G", "dG"), stack_views(grad)))
             stacks = {"G": model.G_stack, "dG": model.dG_stack}
             for _ in range(20):
                 name = ("G", "dG")[rng.integers(2)]
@@ -224,9 +224,9 @@ class TestGradients:
                 idx = tuple(rng.integers(s) for s in p.shape)
                 orig = p[idx]
                 p[idx] = orig + h
-                lp, _, _ = loss_and_gradients(model, feats, u, d, w, y)
+                lp, _ = loss_and_gradients(model, feats, u, d, w, y)
                 p[idx] = orig - h
-                lm, _, _ = loss_and_gradients(model, feats, u, d, w, y)
+                lm, _ = loss_and_gradients(model, feats, u, d, w, y)
                 p[idx] = orig
                 fd = (lp - lm) / (2.0 * h)
                 an = float(analytic[name][k].reshape(p.shape)[idx])
@@ -241,8 +241,10 @@ class TestGradients:
         g = dense_forward(model.G_stack, flat).reshape(b, m)
         dg = dense_forward(model.dG_stack, flat).reshape(b, m)
         yhat = np.einsum("bm,bm->b", w, u * dg - g * d)
-        _, gg1, _ = loss_and_gradients(model, feats, u, d, w, yhat - 0.1)
-        _, gg2, _ = loss_and_gradients(model, feats, u, d, w, yhat - 0.2)
+        gg1, _ = stack_views(loss_and_gradients(model, feats, u, d, w,
+                                                yhat - 0.1)[1])
+        gg2, _ = stack_views(loss_and_gradients(model, feats, u, d, w,
+                                                yhat - 0.2)[1])
         for k in PARAM_KEYS:
             np.testing.assert_allclose(gg2[k], 2.0 * gg1[k], rtol=1e-9)
 
@@ -257,10 +259,8 @@ class TestAdam:
     def test_zero_gradients_leave_parameters_unchanged(self):
         model = _random_model(4)
         state = AdamState.for_model(model)
-        zeros_g = {k: np.zeros_like(model.G_stack[k]) for k in PARAM_KEYS}
-        zeros_d = {k: np.zeros_like(model.dG_stack[k]) for k in PARAM_KEYS}
         before = {k: model.G_stack[k].copy() for k in PARAM_KEYS}
-        adam_step(model, state, zeros_g, zeros_d, alpha=1e-3)
+        adam_step(model, state, np.zeros(N_PARAMS), alpha=1e-3)
         for k in PARAM_KEYS:
             np.testing.assert_array_equal(model.G_stack[k], before[k])
 
@@ -268,12 +268,10 @@ class TestAdam:
         model = _random_model(5)
         state = AdamState.for_model(model)
         rng = np.random.default_rng(6)
-        gg = {k: rng.choice([-1.0, 1.0], size=model.G_stack[k].shape) * 0.5
-              for k in PARAM_KEYS}
-        gd = {k: rng.choice([-1.0, 1.0], size=model.dG_stack[k].shape) * 0.5
-              for k in PARAM_KEYS}
+        grad = rng.choice([-1.0, 1.0], size=N_PARAMS) * 0.5
+        gg, _ = stack_views(grad)
         before = {k: model.G_stack[k].copy() for k in PARAM_KEYS}
-        adam_step(model, state, gg, gd, alpha=1e-3)
+        adam_step(model, state, grad, alpha=1e-3)
         for k in PARAM_KEYS:
             step = model.G_stack[k] - before[k]
             np.testing.assert_allclose(step, -1e-3 * np.sign(gg[k]), rtol=1e-6)
@@ -295,15 +293,115 @@ class TestAdam:
         d = np.array([[0.25, 0.75]])
         w = np.array([[1.0, 1.0]])
         y = np.array([2.0])
-        loss0, gg, gd = loss_and_gradients(model, feats, u, d, w, y)
+        loss0, _ = loss_and_gradients(model, feats, u, d, w, y)
         for _ in range(100):
-            _, gg, gd = loss_and_gradients(model, feats, u, d, w, y)
-            adam_step(model, state, gg, gd, alpha=0.05)
-        loss_final, _, _ = loss_and_gradients(model, feats, u, d, w, y)
+            _, grad = loss_and_gradients(model, feats, u, d, w, y)
+            adam_step(model, state, grad, alpha=0.05)
+        loss_final, _ = loss_and_gradients(model, feats, u, d, w, y)
         assert loss_final <= loss0 / 10.0
+
+    def test_flat_step_matches_per_array_formula(self):
+        # reference: the textbook update applied to every layer array on its own
+        b1, b2, eps, alpha = 0.9, 0.999, 1e-8, 1e-3
+        model = _random_model(7)
+        state = AdamState.for_model(model)
+        ref = {name: {k: v.copy() for k, v in stack.items()} for name, stack
+               in (("G", model.G_stack), ("dG", model.dG_stack))}
+        ref_m = {name: {k: np.zeros_like(v) for k, v in s.items()}
+                 for name, s in ref.items()}
+        ref_v = {name: {k: np.zeros_like(v) for k, v in s.items()}
+                 for name, s in ref.items()}
+        rng = np.random.default_rng(8)
+        for t in range(1, 4):
+            grad = rng.normal(size=N_PARAMS)
+            adam_step(model, state, grad, alpha, b1, b2, eps)
+            for name, g_stack in zip(("G", "dG"), stack_views(grad)):
+                for k in PARAM_KEYS:
+                    g = g_stack[k]
+                    m, v = ref_m[name][k], ref_v[name][k]
+                    m[...] = b1 * m + (1.0 - b1) * g
+                    v[...] = b2 * v + (1.0 - b2) * g * g
+                    ref[name][k] -= (alpha * (m / (1.0 - b1 ** t))
+                                     / (np.sqrt(v / (1.0 - b2 ** t)) + eps))
+        for name, stack in (("G", model.G_stack), ("dG", model.dG_stack)):
+            for k in PARAM_KEYS:
+                np.testing.assert_array_equal(stack[k], ref[name][k])
+
+
+class TestFlatParameters:
+    def test_stacks_are_views_into_theta(self):
+        model = _random_model(0)
+        assert model.theta.shape == (N_PARAMS,)
+        for stack, view in zip((model.G_stack, model.dG_stack),
+                               stack_views(model.theta)):
+            for k in PARAM_KEYS:
+                assert stack[k].shape == view[k].shape
+                assert np.shares_memory(stack[k], model.theta)
+                np.testing.assert_array_equal(stack[k], view[k])
+        before = model.theta.copy()
+        model.dG_stack["W2"][3, 4] += 1.0
+        changed = np.flatnonzero(model.theta != before)
+        assert changed.size == 1
+
+    def test_constructor_copies_its_inputs(self):
+        rng = np.random.default_rng(1)
+        g, dg = init_stack(rng), init_stack(rng)
+        model = KhModel(G_stack=g, dG_stack=dg, norm=_random_model(0).norm,
+                        eta=1.0)
+        before = g["W1"][0, 0]
+        g["W1"][0, 0] += 1.0
+        assert model.G_stack["W1"][0, 0] == before
+        assert not np.shares_memory(g["W1"], model.theta)
+
+    @pytest.mark.parametrize("key, shape", [("b1", (64,)), ("W3", (64,)),
+                                            ("W2", (128, 63))])
+    def test_wrong_layer_shape_rejected(self, key, shape):
+        stack = init_stack(np.random.default_rng(0))
+        stack[key] = np.zeros(shape)
+        with pytest.raises(ShapeError):
+            KhModel(G_stack=stack, dG_stack=init_stack(np.random.default_rng(1)),
+                    norm=_random_model(0).norm, eta=1.0)
+
+    def test_missing_or_extra_layer_rejected(self):
+        norm = _random_model(0).norm
+        full = init_stack(np.random.default_rng(0))
+        missing = {k: v for k, v in full.items() if k != "b3"}
+        extra = dict(full, W4=np.zeros((1, 1)))
+        for bad in (missing, extra):
+            with pytest.raises(ShapeError):
+                KhModel(G_stack=full, dG_stack=bad, norm=norm, eta=1.0)
+
+    def test_gradients_are_fresh_vectors(self):
+        model = _random_model(3)
+        feats, u, d, w, y = _random_batch(np.random.default_rng(4))
+        _, g1 = loss_and_gradients(model, feats, u, d, w, y)
+        kept = g1.copy()
+        _, g2 = loss_and_gradients(model, feats, u, d, w, y)
+        assert g1.shape == g2.shape == (N_PARAMS,)
+        assert not np.shares_memory(g1, g2)
+        assert not np.shares_memory(g1, model.theta)
+        np.testing.assert_array_equal(g1, kept)
+        np.testing.assert_array_equal(g1, g2)
 
 
 class TestTraining:
+    # train_mse / val_mse of this run recorded with the per-array
+    # implementation that preceded the flat parameter vector (numpy 2.4.6,
+    # OpenBLAS 0.3.31); the flat version reproduced them bit for bit
+    REFERENCE_TRAIN_MSE = (0.3326097593031009, 0.18457640731203384,
+                           0.14328950975168142)
+    REFERENCE_VAL_MSE = (0.1876529761836232, 0.05038747522351562,
+                         0.07764115772172799)
+
+    def test_matches_per_array_reference(self, dataset_tiny):
+        _, hist = train(dataset_tiny, TrainSettings(epochs=3, fixed_lr=1e-3,
+                                                    seed=0))
+        np.testing.assert_allclose(hist.train_mse, self.REFERENCE_TRAIN_MSE,
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(hist.val_mse, self.REFERENCE_VAL_MSE,
+                                   rtol=1e-12, atol=0.0)
+        assert hist.best_epoch == 1
+
     def test_smoke_run_history(self, dataset_tiny):
         settings = TrainSettings(epochs=5, fixed_lr=1e-3, seed=0)
         model, hist = train(dataset_tiny, settings)
@@ -318,6 +416,17 @@ class TestTraining:
         for k in PARAM_KEYS:
             np.testing.assert_array_equal(m1.G_stack[k], m2.G_stack[k])
             np.testing.assert_array_equal(m1.dG_stack[k], m2.dG_stack[k])
+
+    def test_cases_with_different_node_layouts_rejected(self, dataset_tiny,
+                                                         cfg_tiny):
+        from dataclasses import replace
+        from rodtwin.pipeline import Dataset
+        cases = list(dataset_tiny.cases)
+        i = next(i for i, c in enumerate(cases) if c.spec.split == "train")
+        cases[i] = replace(cases[i], z=cases[i].z + 1e-3)
+        ds = Dataset(cases=cases, norm=dataset_tiny.norm, config=cfg_tiny)
+        with pytest.raises(ConfigurationError):
+            train(ds, TrainSettings(epochs=1))
 
     def test_missing_split_rejected(self, dataset_tiny, cfg_tiny):
         from rodtwin.pipeline import Dataset
