@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (STANDARD_GRAVITY, ChannelBoundary, RodGeometry, WaterProps,
+from .core import (STANDARD_GRAVITY, ChannelBoundary, WaterProps,
                    water_properties)
 from .errors import CorrelationRangeError, DomainError, SolverError
 
@@ -58,8 +58,8 @@ def cheng_todreas_friction(Re: float, pitch_to_diameter: float) -> float:
     return ct / Re ** CT_RE_EXP
 
 
-def solve_channel(z: np.ndarray, wall_flux: np.ndarray, bc: ChannelBoundary,
-                  geom: RodGeometry) -> ChannelState:
+def solve_channel(z: np.ndarray, wall_flux: np.ndarray,
+                  bc: ChannelBoundary) -> ChannelState:
     """Steady energy/pressure march along the heated channel.
 
     Energy: upward march from T_in using trapezoidal wall heat input per
@@ -123,7 +123,6 @@ def solve_channel(z: np.ndarray, wall_flux: np.ndarray, bc: ChannelBoundary,
     return ChannelState(z=z, T_cool=T, h=h, P=P, U=bc.G / rho, Re=Re, Pr=Pr)
 
 
-def uniform_channel_state(z: np.ndarray, bc: ChannelBoundary,
-                          geom: RodGeometry) -> ChannelState:
+def uniform_channel_state(z: np.ndarray, bc: ChannelBoundary) -> ChannelState:
     """Adiabatic channel state used to seed the rod-channel coupling."""
-    return solve_channel(np.asarray(z, float), np.zeros(len(z)), bc, geom)
+    return solve_channel(np.asarray(z, float), np.zeros(len(z)), bc)

@@ -91,10 +91,10 @@ def cmd_reconstruct(args) -> int:
     model = rio.load_checkpoint(args.checkpoint)
     sensors = rio.sensors_from_csv(args.sensors)
     mesh = rio.mesh_from_config(cfg)
+    truth = None if args.truth is None else rio.field_from_csv(args.truth, mesh)
     field = reconstruct_field(model, sensors, mesh)
     rio.field_to_csv(field, out / "reconstructed.csv")
-    if args.truth is not None:
-        truth = rio.field_from_csv(args.truth, mesh)
+    if truth is not None:
         _, _, region = mesh.node_table()
         report = compute_metrics(field.flatten(), truth.flatten(), region)
         rio.metrics_to_json(report, out / "metrics.json")
@@ -120,10 +120,9 @@ def cmd_strain(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    ra, za, rega, Ta = rio.field_arrays_from_csv(args.predicted)
+    ra, za, _, Ta = rio.field_arrays_from_csv(args.predicted)
     rb, zb, regb, Tb = rio.field_arrays_from_csv(args.truth)
-    if Ta.size != Tb.size:
-        raise ConfigurationError("field files have different node counts")
+    rio.require_same_nodes(args.predicted, ra, za, rb, zb, args.truth)
     report = compute_metrics(Ta, Tb, regb)
     print(json.dumps(report.to_dict(), indent=2))
     if args.out_dir is not None:

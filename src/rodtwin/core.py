@@ -117,10 +117,6 @@ class ChannelBoundary:
     def heated_perimeter(self) -> float:
         return 2.0 * np.pi * self.R_co
 
-    @property
-    def wetted_perimeter(self) -> float:
-        return 2.0 * np.pi * self.R_co
-
 
 @dataclass(frozen=True)
 class HeatSource:
@@ -161,8 +157,6 @@ class WaterProps:
 # so hot-channel excursions fail gracefully instead of mid-table). Pr is
 # recomputed from mu*cp/k so the stored table is self-consistent.
 # ---------------------------------------------------------------------------
-WATER_TABLE_P = 15.51e6
-
 _WATER_T = np.arange(560.0, 630.0 + 2.5, 5.0)
 _WATER_RHO = np.array([743.0, 735.0, 726.0, 717.0, 707.0, 697.0, 686.0, 675.0,
                        663.0, 650.0, 636.0, 620.0, 603.0, 583.0, 559.0])
@@ -180,11 +174,10 @@ WATER_T_MIN = float(_WATER_T[0])
 WATER_T_MAX = float(_WATER_T[-1])
 
 
-def water_properties(T: float, P: float = WATER_TABLE_P) -> WaterProps:
+def water_properties(T: float) -> WaterProps:
     """Linear interpolation of the embedded 15.51 MPa liquid water table.
 
-    No extrapolation: T outside [560, 630] K raises DomainError. The table is
-    single-pressure; P is accepted for interface symmetry only.
+    No extrapolation: T outside [560, 630] K raises DomainError.
     """
     T = float(T)
     if not (WATER_T_MIN <= T <= WATER_T_MAX):

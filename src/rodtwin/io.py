@@ -22,6 +22,10 @@ from .mesh import RodMesh, build_rod_mesh
 from .pipeline import (CaseResult, CaseSpec, Dataset, NormConstants, SensorSet)
 
 
+SENSOR_COLUMNS = ("z", "r", "T", "T_inf", "dhat", "w", "eta")
+NODE_TOL = 1e-9  # [m] field-file node coordinates match the mesh to this
+
+
 def _fmt(x) -> str:
     return repr(float(x))
 
@@ -35,15 +39,27 @@ def _write_csv(path, header, columns):
             wr.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
 
 
-def _read_csv(path):
+def _read_csv(path, required):
+    """Columns by header name. Raises ConfigurationError on a missing
+    required column, no data rows, or a row of the wrong length."""
     with open(path, newline="") as f:
-        rd = csv.reader(f)
-        header = next(rd)
-        cols = {h: [] for h in header}
-        for row in rd:
-            for h, v in zip(header, row):
-                cols[h].append(v)
-    return cols
+        rows = [row for row in csv.reader(f) if row]
+    header, body = (rows[0], rows[1:]) if rows else ([], [])
+    missing = [h for h in required if h not in header]
+    if missing:
+        raise ConfigurationError(f"{path}: missing column(s) {', '.join(missing)}")
+    if not body:
+        raise ConfigurationError(f"{path}: no data rows")
+    if any(len(row) != len(header) for row in body):
+        raise ConfigurationError(f"{path}: rows must have {len(header)} values")
+    return {h: [row[i] for row in body] for i, h in enumerate(header)}
+
+
+def _floats(path, values) -> np.ndarray:
+    try:
+        return np.array([float(v) for v in values])
+    except ValueError as e:
+        raise ConfigurationError(f"{path}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -59,18 +75,29 @@ def field_to_csv(field: TemperatureField, path) -> None:
 
 
 def field_arrays_from_csv(path):
-    cols = _read_csv(path)
-    return (np.array([float(v) for v in cols["r"]]),
-            np.array([float(v) for v in cols["z"]]),
-            cols["region"],
-            np.array([float(v) for v in cols["T"]]))
+    cols = _read_csv(path, ("r", "z", "region", "T"))
+    return (_floats(path, cols["r"]), _floats(path, cols["z"]), cols["region"],
+            _floats(path, cols["T"]))
+
+
+def require_same_nodes(path, r, z, r_ref, z_ref, ref_name: str) -> None:
+    """ConfigurationError unless the (r, z) nodes of a field file are those of
+    the reference, in the same order (to 1 nm)."""
+    if r.size != r_ref.size:
+        raise ConfigurationError(
+            f"{path} has {r.size} nodes but {ref_name} has {r_ref.size}")
+    bad = ~((np.abs(r - r_ref) <= NODE_TOL) & (np.abs(z - z_ref) <= NODE_TOL))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ConfigurationError(
+            f"{path}: node {k} is at (r, z) = ({r[k]}, {z[k]}) but {ref_name} "
+            f"has ({r_ref[k]}, {z_ref[k]}); nodes must be in mesh order")
 
 
 def field_from_csv(path, mesh: RodMesh) -> TemperatureField:
-    r, z, region, T = field_arrays_from_csv(path)
-    if T.size != mesh.n_nodes:
-        raise ConfigurationError(
-            f"field file has {T.size} nodes but the mesh has {mesh.n_nodes}")
+    r, z, _, T = field_arrays_from_csv(path)
+    r_mesh, z_mesh, _ = mesh.node_table()
+    require_same_nodes(path, r, z, r_mesh, z_mesh, "the mesh")
     return TemperatureField.from_flat(mesh, T)
 
 
@@ -81,15 +108,14 @@ def channel_to_csv(state: ChannelState, path) -> None:
 
 def sensors_to_csv(sensors: SensorSet, path) -> None:
     n = sensors.z.size
-    _write_csv(path, ["z", "r", "T", "T_inf", "dhat", "w", "eta"],
+    _write_csv(path, SENSOR_COLUMNS,
                [sensors.z, sensors.r, sensors.T, sensors.T_inf, sensors.dhat,
                 sensors.w, np.full(n, sensors.eta)])
 
 
 def sensors_from_csv(path) -> SensorSet:
-    cols = _read_csv(path)
-    arr = {k: np.array([float(v) for v in cols[k]])
-           for k in ("z", "r", "T", "T_inf", "dhat", "w", "eta")}
+    cols = _read_csv(path, SENSOR_COLUMNS)
+    arr = {k: _floats(path, cols[k]) for k in SENSOR_COLUMNS}
     return SensorSet(z=arr["z"], r=arr["r"], T=arr["T"], T_inf=arr["T_inf"],
                      dhat=arr["dhat"], w=arr["w"], eta=float(arr["eta"][0]))
 
@@ -124,23 +150,35 @@ def save_dataset(ds: Dataset, outdir) -> None:
 
 
 def load_dataset(outdir) -> Dataset:
-    """Rebuild a Dataset from disk (coupled solutions are not reloaded)."""
+    """Rebuild a Dataset from disk (coupled solutions are not reloaded).
+
+    Raises ConfigurationError on bad manifest JSON or a missing manifest key
+    (named in the message), and on a case CSV without a required column."""
     outdir = Path(outdir)
-    with open(outdir / "manifest.json") as f:
-        manifest = json.load(f)
-    cfg = config_from_dict(manifest["config"])
-    norm = NormConstants(**manifest["normalization"])
+    path = outdir / "manifest.json"
+    try:
+        with open(path) as f:
+            manifest = json.load(f)
+        cfg = config_from_dict(manifest["config"])
+        norm = NormConstants(**manifest["normalization"])
+        specs = [CaseSpec(case_id=cid, q0=manifest["cases"][cid]["q0"],
+                          burnup=manifest["cases"][cid]["burnup"], split=split)
+                 for cid, split in sorted(manifest["splits"].items())]
+        seed = manifest["seed"]
+    except ConfigurationError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        # ValueError covers bad JSON
+        raise ConfigurationError(
+            f"malformed manifest {path}: {type(e).__name__}: {e}") from e
     cases = []
-    for cid in sorted(manifest["splits"]):
-        d = outdir / "cases" / cid
+    for spec in specs:
+        d = outdir / "cases" / spec.case_id
         r, z, region, T = field_arrays_from_csv(d / "field.csv")
         sensors = sensors_from_csv(d / "sensors.csv")
-        spec = CaseSpec(case_id=cid, q0=manifest["cases"][cid]["q0"],
-                        burnup=manifest["cases"][cid]["burnup"],
-                        split=manifest["splits"][cid])
         cases.append(CaseResult(spec=spec, solution=None, sensors=sensors,
                                 r=r, z=z, region=region, T=T))
-    return Dataset(cases=cases, norm=norm, config=cfg, seed=manifest["seed"])
+    return Dataset(cases=cases, norm=norm, config=cfg, seed=seed)
 
 
 def mesh_from_config(cfg: TwinConfig) -> RodMesh:

@@ -117,10 +117,6 @@ class RodMesh:
                     "bottom": nrad, "top": nrad}
         raise ConfigurationError(f"unknown region {region!r}")
 
-    def cell_counts(self) -> dict[str, int]:
-        return {FUEL: (self.nr_fuel - 1) * (self.nz_fuel - 1),
-                CLAD: (self.nr_clad - 1) * (self.nz - 1)}
-
 
 def build_rod_mesh(geom: RodGeometry, nr_fuel: int = 11, nz: int = 100,
                    nr_clad: int = 4) -> RodMesh:

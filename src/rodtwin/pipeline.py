@@ -128,7 +128,7 @@ def couple_rod_channel(spec: CaseSpec, cfg: TwinConfig) -> CoupledSolution:
     src = HeatSource(q0=spec.q0, delta_e=cfg.delta_e)
     vs = VolumetricSource.from_heat_source(src, geom, mesh)
 
-    coolant = uniform_channel_state(mesh.z, bc, geom)
+    coolant = uniform_channel_state(mesh.z, bc)
     prev_wall = None
     trace = []
     for it in range(1, COUPLING_MAX_ITER + 1):
@@ -140,7 +140,7 @@ def couple_rod_channel(spec: CaseSpec, cfg: TwinConfig) -> CoupledSolution:
                 return CoupledSolution(field=field, channel=coolant, iterations=it,
                                        residual=resid, residual_trace=tuple(trace))
         prev_wall = field.wall
-        fresh = solve_channel(mesh.z, wall_heat_flux(field, coolant), bc, geom)
+        fresh = solve_channel(mesh.z, wall_heat_flux(field, coolant), bc)
         T_relaxed = (COUPLING_RELAX * fresh.T_cool
                      + (1.0 - COUPLING_RELAX) * coolant.T_cool)
         coolant = replace(fresh, T_cool=T_relaxed)

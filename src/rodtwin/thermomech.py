@@ -1,9 +1,10 @@
 """Simplified thermomechanical post-processing of a rod temperature field.
 
-Per-axial-slice generalized plane strain: classical thick-walled-cylinder
-thermoelastic solution for the cladding annulus (solid-cylinder variant for
-the pellet), Norton secondary thermal creep, and anisotropic cladding thermal
-expansion. Irradiation effects are deliberately zero.
+Per-axial-row generalized plane strain from one thick-walled-cylinder
+thermoelastic closed form (the pellet is its solid case a = 0; all rows of a
+region are solved in one call), Norton secondary thermal creep, and
+anisotropic cladding thermal expansion. Irradiation effects are deliberately
+zero.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .errors import ConfigurationError, DomainError
 
 @dataclass(frozen=True)
 class SliceStress:
-    r: np.ndarray
     sigma_r: np.ndarray
     sigma_theta: np.ndarray
     sigma_z: np.ndarray
@@ -68,64 +68,45 @@ def thermal_expansion_strain(field: TemperatureField, m: MaterialParams
 def lame_thermoelastic_slice(r: np.ndarray, T: np.ndarray, P_in: float,
                              P_out: float, E: float, nu: float,
                              alpha: float) -> SliceStress:
-    """Thick-walled cylinder under radial temperature profile and pressures.
+    """Thick-walled cylinder a <= r <= b under radial temperature rows and pressures.
 
-    Generalized plane strain with zero net axial force; closed-end pressure
-    contribution to sigma_z. Thermal integrals by trapezoid on the given grid.
+    T is one row (nr,) or a stack of rows (..., nr), all solved at once;
+    r[0] = 0 is the solid cylinder, where P_in has no effect. Generalized
+    plane strain with zero net axial force; closed-end pressure contribution
+    to sigma_z. Thermal integrals by trapezoid on the given grid.
     """
     r = np.asarray(r, float)
     T = np.asarray(T, float)
+    if r.ndim != 1 or r.size < 2 or r[0] < 0.0 or np.any(np.diff(r) <= 0.0):
+        raise ConfigurationError("radial grid needs >= 2 strictly increasing "
+                                 "points from r >= 0")
+    if T.shape[-1:] != r.shape:
+        raise ConfigurationError(f"temperature rows of shape {T.shape} do not "
+                                 f"match the {r.size}-point radial grid")
     a, b = float(r[0]), float(r[-1])
-    if not (a < b) or r.size < 2:
-        raise ConfigurationError("degenerate annulus: need r strictly increasing")
-    K = alpha * E / (1.0 - nu)
-    I = cumulative_trapezoid(T * r, r, initial=0.0)   # int_a^r T r dr
-    Ib = float(I[-1])
+    r2 = r * r
     denom = b * b - a * a
-
-    sig_r_th = K * ((r * r - a * a) / (r * r * denom) * Ib - I / (r * r))
-    sig_t_th = K * ((r * r + a * a) / (r * r * denom) * Ib + I / (r * r) - T)
-    sig_z_th = K * (2.0 * Ib / denom - T)
-    # sigma_z is defined up to the uniform GPS constant; zero net axial force
-    # over the annulus fixes it
-    c = 2.0 * trapezoid(sig_z_th * r, r) / denom
-    sig_z_th = sig_z_th - c
+    K = alpha * E / (1.0 - nu)
+    I = cumulative_trapezoid(T * r, r, axis=-1, initial=0.0)  # int_a^r T r dr
+    Ib = I[..., -1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        J = (a * a * Ib / denom + I) / r2
+    if a == 0.0:
+        J[..., 0] = 0.5 * T[..., 0]  # axis limit of I / r^2
 
     lam_A = (P_in * a * a - P_out * b * b) / denom
-    lam_B = (P_in - P_out) * a * a * b * b / denom
-    sig_r = sig_r_th + lam_A - lam_B / (r * r)
-    sig_t = sig_t_th + lam_A + lam_B / (r * r)
-    sig_z = sig_z_th + lam_A  # closed-end axial force balance
+    # zero without an inner radius, where it would be 0/0 on the axis
+    lam_B_r2 = (P_in - P_out) * a * a * b * b / denom / r2 if a > 0.0 else 0.0
+    sig_r = K * (Ib / denom - J) + lam_A - lam_B_r2
+    sig_t = K * (Ib / denom + J - T) + lam_A + lam_B_r2
+    sig_z = K * (2.0 * Ib / denom - T)
+    # sigma_z is defined up to the uniform GPS constant; zero net axial force
+    # over the cross-section fixes it. lam_A is the closed-end axial force
+    c = 2.0 * trapezoid(sig_z * r, r, axis=-1)[..., None] / denom
+    sig_z = sig_z - c + lam_A
 
     eps_t = (sig_t - nu * (sig_r + sig_z)) / E
-    return SliceStress(r=r, sigma_r=sig_r, sigma_theta=sig_t, sigma_z=sig_z,
-                       eps_theta_elastic=eps_t)
-
-
-def solid_cylinder_slice(r: np.ndarray, T: np.ndarray, P_out: float, E: float,
-                         nu: float, alpha: float) -> SliceStress:
-    """Solid-cylinder variant (pellet): external pressure only."""
-    r = np.asarray(r, float)
-    T = np.asarray(T, float)
-    b = float(r[-1])
-    if r[0] != 0.0 or r.size < 2:
-        raise ConfigurationError("solid slice needs a radial grid starting at 0")
-    K = alpha * E / (1.0 - nu)
-    I = cumulative_trapezoid(T * r, r, initial=0.0)
-    Ib = float(I[-1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        I_over_r2 = np.where(r > 0.0, I / np.maximum(r, 1e-300) ** 2, 0.5 * T[0])
-    sig_r_th = K * (Ib / (b * b) - I_over_r2)
-    sig_t_th = K * (Ib / (b * b) + I_over_r2 - T)
-    sig_z_th = K * (2.0 * Ib / (b * b) - T)
-    c = 2.0 * trapezoid(sig_z_th * r, r) / (b * b)
-    sig_z_th = sig_z_th - c
-
-    sig_r = sig_r_th - P_out
-    sig_t = sig_t_th - P_out
-    sig_z = sig_z_th - P_out
-    eps_t = (sig_t - nu * (sig_r + sig_z)) / E
-    return SliceStress(r=r, sigma_r=sig_r, sigma_theta=sig_t, sigma_z=sig_z,
+    return SliceStress(sigma_r=sig_r, sigma_theta=sig_t, sigma_z=sig_z,
                        eps_theta_elastic=eps_t)
 
 
@@ -171,23 +152,12 @@ def hoop_strain_summary(field: TemperatureField, m: MaterialParams,
 
 def stress_field(field: TemperatureField, P_gap: float, P_cool: float,
                  m: MaterialParams) -> StressField:
-    """Slice-by-slice stress assembly over the whole rod mesh."""
+    """Stress on the whole rod mesh: all pellet rows in one call, all
+    cladding rows in another."""
     mesh = field.mesh
-    fz = []
-    for j in range(mesh.nz_fuel):
-        fz.append(solid_cylinder_slice(mesh.r_fuel, field.T_fuel[j], P_gap,
-                                       m.E_fuel, m.nu_fuel, m.alpha_fuel))
-    cz = []
-    for j in range(mesh.nz):
-        cz.append(lame_thermoelastic_slice(mesh.r_clad, field.T_clad[j], P_gap,
-                                           P_cool, m.E_clad, m.nu_clad,
-                                           m.alpha_theta))
-    return StressField(
-        mesh=mesh,
-        fuel_sigma_r=np.array([s.sigma_r for s in fz]),
-        fuel_sigma_theta=np.array([s.sigma_theta for s in fz]),
-        fuel_sigma_z=np.array([s.sigma_z for s in fz]),
-        clad_sigma_r=np.array([s.sigma_r for s in cz]),
-        clad_sigma_theta=np.array([s.sigma_theta for s in cz]),
-        clad_sigma_z=np.array([s.sigma_z for s in cz]),
-    )
+    fuel = lame_thermoelastic_slice(mesh.r_fuel, field.T_fuel, 0.0, P_gap,
+                                    m.E_fuel, m.nu_fuel, m.alpha_fuel)
+    clad = lame_thermoelastic_slice(mesh.r_clad, field.T_clad, P_gap, P_cool,
+                                    m.E_clad, m.nu_clad, m.alpha_theta)
+    return StressField(mesh, fuel.sigma_r, fuel.sigma_theta, fuel.sigma_z,
+                       clad.sigma_r, clad.sigma_theta, clad.sigma_z)

@@ -59,7 +59,7 @@ def test_criterion_1_analytic_conduction_oracle():
     from rodtwin.mesh import build_rod_mesh
     m3 = MaterialParams(fuel_k_A=1.0 / 3.0, fuel_k_B=0.0)
     mesh = build_rod_mesh(GEOM, nr_fuel=64, nz=20, nr_clad=3)
-    coolant = uniform_channel_state(mesh.z, BC, GEOM)
+    coolant = uniform_channel_state(mesh.z, BC)
     src = VolumetricSource(qppp=np.full(mesh.nz_fuel,
                                         20e3 / (np.pi * GEOM.R_fo ** 2)))
     field = assemble_and_solve_conduction(mesh, m3, src, coolant)
@@ -70,7 +70,7 @@ def test_criterion_1_analytic_conduction_oracle():
     # cladding annulus with frozen k = 17
     m17 = MaterialParams(clad_k_a=17.0, clad_k_b=0.0)
     mesh = build_rod_mesh(GEOM, nr_fuel=5, nz=20, nr_clad=8)
-    coolant = uniform_channel_state(mesh.z, BC, GEOM)
+    coolant = uniform_channel_state(mesh.z, BC)
     src = VolumetricSource(qppp=np.full(mesh.nz_fuel,
                                         20e3 / (np.pi * GEOM.R_fo ** 2)))
     field = assemble_and_solve_conduction(mesh, m17, src, coolant)
@@ -244,7 +244,7 @@ def test_criterion_9_property_suite(coupled_desk, tmp_path):
     errs = []
     for nrc in (4, 8, 16):
         msh = build_rod_mesh(GEOM, nr_fuel=5, nz=20, nr_clad=nrc)
-        coolant = uniform_channel_state(msh.z, BC, GEOM)
+        coolant = uniform_channel_state(msh.z, BC)
         src = VolumetricSource(qppp=np.full(msh.nz_fuel,
                                             20e3 / (np.pi * GEOM.R_fo ** 2)))
         f = assemble_and_solve_conduction(msh, m17, src, coolant)

@@ -81,7 +81,7 @@ class TestChengTodreas:
 class TestSolveChannel:
     def test_adiabatic_channel_stays_at_inlet(self):
         z = np.linspace(0.0, GEOM.L_fr, 60)
-        st = solve_channel(z, np.zeros_like(z), BC, GEOM)
+        st = solve_channel(z, np.zeros_like(z), BC)
         assert np.all(st.T_cool == BC.T_in)
 
     def test_uniform_power_closure(self):
@@ -90,7 +90,7 @@ class TestSolveChannel:
         z = np.linspace(0.0, GEOM.L_fr, 400)
         area = BC.heated_perimeter * GEOM.L_fr
         q = np.full_like(z, 50e3 / area)
-        st = solve_channel(z, q, BC, GEOM)
+        st = solve_channel(z, q, BC)
         expected = outlet_from_energy_balance(50e3, BC) - BC.T_in
         assert st.T_cool[-1] - BC.T_in == pytest.approx(expected, rel=5e-3)
 
@@ -99,7 +99,7 @@ class TestSolveChannel:
         src = HeatSource(q0=20e3)
         z = np.linspace(0.0, GEOM.L_fr, 400)
         q = linear_heat_rate(z, src, GEOM) / BC.heated_perimeter
-        st = solve_channel(z, q, BC, GEOM)
+        st = solve_channel(z, q, BC)
         power = integrated_rod_power(src, GEOM)
         expected = outlet_from_energy_balance(power, BC) - BC.T_in
         assert st.T_cool[-1] - BC.T_in == pytest.approx(expected, rel=5e-3)
@@ -108,7 +108,7 @@ class TestSolveChannel:
         src = HeatSource(q0=30e3)
         z = np.linspace(0.0, GEOM.L_fr, 300)
         q = linear_heat_rate(z, src, GEOM) / BC.heated_perimeter
-        st = solve_channel(z, q, BC, GEOM)
+        st = solve_channel(z, q, BC)
         # enthalpy rise from local cp along the march
         dh = 0.0
         for j in range(z.size - 1):
@@ -125,7 +125,7 @@ class TestSolveChannel:
         for n in (61, 121, 241):
             z = np.linspace(0.0, GEOM.L_fr, n)
             q = flux * np.sin(np.pi * z / GEOM.L_fr)
-            outs.append(solve_channel(z, q, BC, GEOM).T_cool[-1])
+            outs.append(solve_channel(z, q, BC).T_cool[-1])
         order = np.log2(abs(outs[0] - outs[1]) / abs(outs[1] - outs[2]))
         assert order >= 1.0
 
@@ -133,7 +133,7 @@ class TestSolveChannel:
         src = HeatSource(q0=20e3)
         z = np.linspace(0.0, GEOM.L_fr, 120)
         q = linear_heat_rate(z, src, GEOM) / BC.heated_perimeter
-        st = solve_channel(z, q, BC, GEOM)
+        st = solve_channel(z, q, BC)
         assert st.P[-1] == BC.P_out
         assert np.all(np.diff(st.P) < 0.0)
         # inlet head is dominated by gravity plus a friction contribution
@@ -143,7 +143,7 @@ class TestSolveChannel:
         src = HeatSource(q0=20e3)
         z = np.linspace(0.0, GEOM.L_fr, 120)
         q = linear_heat_rate(z, src, GEOM) / BC.heated_perimeter
-        st = solve_channel(z, q, BC, GEOM)
+        st = solve_channel(z, q, BC)
         assert np.all(np.diff(st.T_cool) >= 0.0)
         assert np.all(st.h > 0.0)
 
@@ -151,11 +151,11 @@ class TestSolveChannel:
         z = np.linspace(0.0, GEOM.L_fr, 60)
         q = np.full_like(z, 5e6)  # absurd flux drives the coolant off-table
         with pytest.raises(SolverError) as exc:
-            solve_channel(z, q, BC, GEOM)
+            solve_channel(z, q, BC)
         assert exc.value.z is not None
 
     def test_uniform_state_helper(self):
         z = np.linspace(0.0, GEOM.L_fr, 30)
-        st = uniform_channel_state(z, BC, GEOM)
+        st = uniform_channel_state(z, BC)
         assert np.all(st.T_cool == BC.T_in)
         assert np.all(st.h > 0.0)

@@ -1,6 +1,7 @@
 """Command-line workflows: subcommand chaining, exit codes, error JSON."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -24,6 +25,51 @@ def zero_power_cfg_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg0") / "zero.json"
     cfg.to_json(path)
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tiny_cfg_path, tmp_path_factory):
+    """simulate output (field.csv, sensors.csv) of the tiny config."""
+    out = tmp_path_factory.mktemp("run")
+    assert main(["simulate", "--config", tiny_cfg_path,
+                 "--out-dir", str(out)]) == EXIT_OK
+    return out
+
+
+@pytest.fixture(scope="module")
+def tiny_model(tiny_cfg_path, tmp_path_factory):
+    """A tiny-config dataset and a 1-epoch checkpoint trained on it."""
+    root = tmp_path_factory.mktemp("model")
+    assert main(["generate", "--config", tiny_cfg_path, "--seed", "0",
+                 "--out-dir", str(root / "ds")]) == EXIT_OK
+    assert main(["train", "--dataset", str(root / "ds"), "--epochs", "1",
+                 "--out-dir", str(root)]) == EXIT_OK
+    return root
+
+
+def _rewrite_csv(src, dst, edit):
+    """Copy a CSV file, applying ``edit`` to its list of rows (header first)."""
+    rows = [line.split(",") for line in src.read_text().splitlines()]
+    dst.write_text("\n".join(",".join(row) for row in edit(rows)) + "\n")
+
+
+def _reversed_rows(rows):
+    return rows[:1] + rows[:0:-1]
+
+
+def _drop_column(name):
+    def edit(rows):
+        k = rows[0].index(name)
+        return [row[:k] + row[k + 1:] for row in rows]
+    return edit
+
+
+def _assert_config_error(capsys, rc):
+    assert rc == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert err["type"] == "ConfigurationError"
+    return err
 
 
 class TestSimulate:
@@ -180,6 +226,71 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
         assert err["type"] == "ConfigurationError"
+
+    def test_strain_rejects_reordered_field(self, tiny_cfg_path, tiny_run,
+                                            tmp_path, capsys):
+        field = tmp_path / "field.csv"
+        _rewrite_csv(tiny_run / "field.csv", field, _reversed_rows)
+        capsys.readouterr()
+        rc = main(["strain", "--config", tiny_cfg_path, "--field", str(field),
+                   "--out-dir", str(tmp_path / "strain")])
+        _assert_config_error(capsys, rc)
+        assert not (tmp_path / "strain" / "strain.json").exists()
+
+    def test_reconstruct_rejects_reordered_truth(self, tiny_cfg_path, tiny_run,
+                                                 tiny_model, tmp_path, capsys):
+        truth = tmp_path / "field.csv"
+        _rewrite_csv(tiny_run / "field.csv", truth, _reversed_rows)
+        capsys.readouterr()
+        rc = main(["reconstruct", "--config", tiny_cfg_path,
+                   "--checkpoint", str(tiny_model / "checkpoint.json"),
+                   "--sensors", str(tiny_run / "sensors.csv"),
+                   "--truth", str(truth), "--out-dir", str(tmp_path / "rec")])
+        _assert_config_error(capsys, rc)
+        assert not (tmp_path / "rec" / "metrics.json").exists()
+
+    def test_evaluate_rejects_reordered_field(self, tiny_run, tmp_path, capsys):
+        field = tmp_path / "field.csv"
+        _rewrite_csv(tiny_run / "field.csv", field, _reversed_rows)
+        capsys.readouterr()
+        rc = main(["evaluate", str(field), str(tiny_run / "field.csv")])
+        err = _assert_config_error(capsys, rc)
+        assert "mesh order" in err["message"]
+
+    def test_evaluate_rejects_different_node_count(self, tiny_run, tmp_path,
+                                                   capsys):
+        field = tmp_path / "field.csv"
+        _rewrite_csv(tiny_run / "field.csv", field, lambda rows: rows[:-1])
+        capsys.readouterr()
+        rc = main(["evaluate", str(field), str(tiny_run / "field.csv")])
+        _assert_config_error(capsys, rc)
+
+    def test_reconstruct_rejects_sensors_without_column(self, tiny_cfg_path,
+                                                        tiny_run, tiny_model,
+                                                        tmp_path, capsys):
+        sensors = tmp_path / "sensors.csv"
+        _rewrite_csv(tiny_run / "sensors.csv", sensors, _drop_column("dhat"))
+        capsys.readouterr()
+        rc = main(["reconstruct", "--config", tiny_cfg_path,
+                   "--checkpoint", str(tiny_model / "checkpoint.json"),
+                   "--sensors", str(sensors), "--out-dir", str(tmp_path / "rec")])
+        err = _assert_config_error(capsys, rc)
+        assert "dhat" in err["message"]
+
+    @pytest.mark.parametrize("key", ["config", "splits", "cases",
+                                     "normalization", "seed"])
+    def test_train_rejects_manifest_without_key(self, tiny_model, tmp_path,
+                                                capsys, key):
+        ds = tmp_path / "ds"
+        shutil.copytree(tiny_model / "ds", ds)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        del manifest[key]
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        rc = main(["train", "--dataset", str(ds), "--epochs", "1",
+                   "--out-dir", str(tmp_path / "model")])
+        err = _assert_config_error(capsys, rc)
+        assert f"'{key}'" in err["message"]
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["train", "--dataset", str(tmp_path / "nope"),

@@ -21,7 +21,7 @@ def _uniform_source(mesh):
 
 
 def _solve(mesh, m, src=None):
-    coolant = uniform_channel_state(mesh.z, BC, GEOM)
+    coolant = uniform_channel_state(mesh.z, BC)
     src = src if src is not None else _uniform_source(mesh)
     return assemble_and_solve_conduction(mesh, m, src, coolant)
 
@@ -94,14 +94,14 @@ class TestDegenerateAndInvariants:
 class TestWallFlux:
     def test_zero_source_gives_zero_flux(self):
         mesh = build_rod_mesh(GEOM, nr_fuel=5, nz=20, nr_clad=3)
-        coolant = uniform_channel_state(mesh.z, BC, GEOM)
+        coolant = uniform_channel_state(mesh.z, BC)
         src = VolumetricSource(qppp=np.zeros(mesh.nz_fuel))
         field = assemble_and_solve_conduction(mesh, MAT, src, coolant)
         assert np.abs(wall_heat_flux(field, coolant)).max() < 1e-3
 
     def test_flux_nonnegative_for_heated_rod(self):
         mesh = build_rod_mesh(GEOM, nr_fuel=6, nz=30, nr_clad=3)
-        coolant = uniform_channel_state(mesh.z, BC, GEOM)
+        coolant = uniform_channel_state(mesh.z, BC)
         src = VolumetricSource.from_heat_source(HeatSource(q0=20e3), GEOM, mesh)
         field = assemble_and_solve_conduction(mesh, MAT, src, coolant)
         assert np.all(wall_heat_flux(field, coolant) >= -1e-9)
@@ -109,7 +109,7 @@ class TestWallFlux:
     def test_energy_closure(self):
         src_law = HeatSource(q0=20e3)
         mesh = build_rod_mesh(GEOM, nr_fuel=11, nz=100, nr_clad=4)
-        coolant = uniform_channel_state(mesh.z, BC, GEOM)
+        coolant = uniform_channel_state(mesh.z, BC)
         src = VolumetricSource.from_heat_source(src_law, GEOM, mesh)
         field = assemble_and_solve_conduction(mesh, MAT, src, coolant)
         q = wall_heat_flux(field, coolant)

@@ -1,11 +1,13 @@
 """JSON case-file schema and defaults."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
-from rodtwin.config import (ROSTER_TRAIN, TrainSettings, TwinConfig,
-                            config_from_dict, load_config)
+from rodtwin.config import (ROSTER_TRAIN, MeshConfig, TrainSettings,
+                            TwinConfig, config_from_dict, load_config)
 from rodtwin.errors import ConfigurationError
 
 
@@ -83,3 +85,9 @@ class TestValidation:
 
     def test_to_dict_is_json_serializable(self):
         json.dumps(TwinConfig().to_dict())
+
+    def test_committed_sweep_config_only_reduces_the_mesh(self):
+        path = Path(__file__).parents[1] / "configs" / "sweep_reduced_mesh.json"
+        cfg = load_config(path)
+        assert cfg.mesh == MeshConfig(nr_fuel=6, nr_clad=3, nz=40)
+        assert dataclasses.replace(cfg, mesh=MeshConfig()) == TwinConfig()

@@ -7,14 +7,26 @@ import pytest
 
 from rodtwin.config import TrainSettings
 from rodtwin.errors import ConfigurationError
-from rodtwin.io import (field_from_csv, field_to_csv, history_to_csv,
-                        load_checkpoint, load_dataset, mesh_from_config,
-                        metrics_to_json, save_checkpoint, save_dataset,
-                        sensors_from_csv, sensors_to_csv,
-                        strain_report_to_json, stress_field_to_csv)
+from rodtwin.io import (SENSOR_COLUMNS, field_arrays_from_csv, field_from_csv,
+                        field_to_csv, history_to_csv, load_checkpoint,
+                        load_dataset, mesh_from_config, metrics_to_json,
+                        save_checkpoint, save_dataset, sensors_from_csv,
+                        sensors_to_csv, strain_report_to_json,
+                        stress_field_to_csv)
 from rodtwin.khnet import PARAM_KEYS, train
 from rodtwin.metrics import compute_metrics
 from rodtwin.pipeline import NormConstants
+
+
+def _rewrite_csv(path, edit):
+    """Apply ``edit`` to the list of rows (header first) of a CSV file."""
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    path.write_text("\n".join(",".join(row) for row in edit(rows)) + "\n")
+
+
+def _drop_column(rows, name):
+    k = rows[0].index(name)
+    return [row[:k] + row[k + 1:] for row in rows]
 
 
 class TestFieldCsv:
@@ -31,6 +43,33 @@ class TestFieldCsv:
         with pytest.raises(ConfigurationError):
             field_from_csv(path, mesh_from_config(cfg_tiny))
 
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows[:1] + rows[:0:-1],               # all rows reversed
+        lambda rows: rows[:1] + [rows[2], rows[1]] + rows[3:],  # two swapped
+    ], ids=["reversed", "swapped"])
+    def test_reordered_nodes_rejected(self, coupled20, tmp_path, edit):
+        path = tmp_path / "field.csv"
+        field_to_csv(coupled20.field, path)
+        _rewrite_csv(path, edit)
+        with pytest.raises(ConfigurationError, match="mesh order"):
+            field_from_csv(path, coupled20.field.mesh)
+
+    @pytest.mark.parametrize("column", ["r", "z", "region", "T"])
+    def test_missing_column_rejected(self, coupled20, tmp_path, column):
+        path = tmp_path / "field.csv"
+        field_to_csv(coupled20.field, path)
+        _rewrite_csv(path, lambda rows: _drop_column(rows, column))
+        with pytest.raises(ConfigurationError, match=f"missing column.*{column}"):
+            field_arrays_from_csv(path)
+
+    def test_non_numeric_value_rejected(self, coupled20, tmp_path):
+        path = tmp_path / "field.csv"
+        field_to_csv(coupled20.field, path)
+        _rewrite_csv(path, lambda rows: rows[:1] + [rows[1][:3] + ["hot"]]
+                     + rows[2:])
+        with pytest.raises(ConfigurationError):
+            field_arrays_from_csv(path)
+
 
 class TestSensorsCsv:
     def test_round_trip_bit_exact(self, coupled20, tmp_path):
@@ -43,6 +82,30 @@ class TestSensorsCsv:
         for f in ("z", "r", "T", "T_inf", "dhat", "w"):
             np.testing.assert_array_equal(getattr(again, f), getattr(s, f))
         assert again.eta == s.eta
+
+    @pytest.fixture
+    def sensors_path(self, coupled20, tmp_path):
+        from rodtwin.pipeline import extract_sensors
+        z = np.array([0.2, 0.4, 0.6, 0.8]) * coupled20.field.mesh.geom.L_fr
+        path = tmp_path / "sensors.csv"
+        sensors_to_csv(extract_sensors(coupled20, z, eta=1.0), path)
+        return path
+
+    @pytest.mark.parametrize("column", SENSOR_COLUMNS)
+    def test_missing_column_rejected(self, sensors_path, column):
+        _rewrite_csv(sensors_path, lambda rows: _drop_column(rows, column))
+        with pytest.raises(ConfigurationError, match=f"missing column.*{column}"):
+            sensors_from_csv(sensors_path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows[:1],                               # header only
+        lambda rows: rows[:1] + [rows[1][:-1]] + rows[2:],   # short row
+        lambda rows: [[]],                                   # empty file
+    ], ids=["no-rows", "short-row", "empty"])
+    def test_malformed_rows_rejected(self, sensors_path, edit):
+        _rewrite_csv(sensors_path, edit)
+        with pytest.raises(ConfigurationError):
+            sensors_from_csv(sensors_path)
 
 
 class TestDatasetDirectory:
@@ -83,6 +146,31 @@ class TestDatasetDirectory:
                 assert (b / rel).read_bytes() == (a / rel).read_bytes()
             # channel states are not part of a loaded dataset
             assert not (b / f"cases/{ca.spec.case_id}/channel.csv").exists()
+
+    @pytest.mark.parametrize("key", ["config", "splits", "cases",
+                                     "normalization", "seed"])
+    def test_missing_manifest_key_rejected(self, dataset_tiny, tmp_path, key):
+        save_dataset(dataset_tiny, tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest[key]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigurationError, match=f"'{key}'"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("text", ['{"config": ', '[1, 2]'])
+    def test_malformed_manifest_rejected(self, dataset_tiny, tmp_path, text):
+        save_dataset(dataset_tiny, tmp_path)
+        (tmp_path / "manifest.json").write_text(text)
+        with pytest.raises(ConfigurationError):
+            load_dataset(tmp_path)
+
+    def test_case_csv_without_column_rejected(self, dataset_tiny, tmp_path):
+        save_dataset(dataset_tiny, tmp_path)
+        path = tmp_path / "cases" / dataset_tiny.cases[0].spec.case_id / "sensors.csv"
+        _rewrite_csv(path, lambda rows: _drop_column(rows, "dhat"))
+        with pytest.raises(ConfigurationError, match="dhat"):
+            load_dataset(tmp_path)
 
     def test_repeated_save_is_byte_identical(self, dataset_tiny, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

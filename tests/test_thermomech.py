@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rodtwin.channel import uniform_channel_state
 from rodtwin.conduction import TemperatureField
-from rodtwin.core import ChannelBoundary, MaterialParams, RodGeometry
+from rodtwin.core import MaterialParams, RodGeometry
 from rodtwin.errors import ConfigurationError, DomainError
 from rodtwin.mesh import build_rod_mesh
 from rodtwin.thermomech import (hoop_strain_summary, lame_thermoelastic_slice,
-                                solid_cylinder_slice, stress_field,
-                                thermal_creep_increment,
+                                stress_field, thermal_creep_increment,
                                 thermal_expansion_strain)
 
 GEOM = RodGeometry()
@@ -127,18 +125,46 @@ class TestLameSlice:
                                      0.0, 0.0, MAT.E_clad, MAT.nu_clad,
                                      MAT.alpha_theta)
 
+    @pytest.mark.parametrize("r", [
+        np.array([0.004]),
+        np.linspace(-0.001, 0.004, 10),
+        np.array([0.0, 0.002, 0.002, 0.004]),
+        np.array([0.0, 0.003, 0.002, 0.004]),
+    ], ids=["too-short", "below-axis", "repeated-point", "decreasing"])
+    def test_bad_radial_grid_rejected(self, r):
+        with pytest.raises(ConfigurationError):
+            lame_thermoelastic_slice(r, np.full(r.size, 600.0), 0.0, 0.0,
+                                     MAT.E_clad, MAT.nu_clad, MAT.alpha_theta)
+
+    @pytest.mark.parametrize("shape", [(39,), (5, 41), (40, 5)],
+                             ids=["short-row", "long-rows", "transposed"])
+    def test_row_length_must_match_grid(self, shape):
+        with pytest.raises(ConfigurationError):
+            lame_thermoelastic_slice(self.R, np.full(shape, 600.0), 0.0, 0.0,
+                                     MAT.E_clad, MAT.nu_clad, MAT.alpha_theta)
+
+    @pytest.mark.parametrize("r", [np.linspace(GEOM.R_ci, GEOM.R_co, 40),
+                                   np.linspace(0.0, GEOM.R_fo, 11)],
+                             ids=["annulus", "solid"])
+    def test_stack_of_rows_equals_one_call_per_row(self, r, rng):
+        T = 600.0 + 300.0 * rng.random((7, r.size))
+        stack = lame_thermoelastic_slice(r, T, 2e6, 15.51e6, MAT.E_clad,
+                                         MAT.nu_clad, MAT.alpha_theta)
+        for j in range(T.shape[0]):
+            row = lame_thermoelastic_slice(r, T[j], 2e6, 15.51e6, MAT.E_clad,
+                                           MAT.nu_clad, MAT.alpha_theta)
+            for f in ("sigma_r", "sigma_theta", "sigma_z", "eps_theta_elastic"):
+                np.testing.assert_array_equal(getattr(stack, f)[j],
+                                              getattr(row, f))
+
 
 class TestSolidCylinderSlice:
-    def test_requires_grid_from_axis(self):
-        with pytest.raises(ConfigurationError):
-            solid_cylinder_slice(np.linspace(0.001, 0.004, 10),
-                                 np.full(10, 900.0), 2e6, MAT.E_fuel,
-                                 MAT.nu_fuel, MAT.alpha_fuel)
+    """The pellet: the same closed form with r[0] = 0."""
 
     def test_uniform_temperature_is_hydrostatic(self):
         r = np.linspace(0.0, GEOM.R_fo, 30)
-        sl = solid_cylinder_slice(r, np.full(30, 900.0), 2e6, MAT.E_fuel,
-                                  MAT.nu_fuel, MAT.alpha_fuel)
+        sl = lame_thermoelastic_slice(r, np.full(30, 900.0), 0.0, 2e6,
+                                      MAT.E_fuel, MAT.nu_fuel, MAT.alpha_fuel)
         np.testing.assert_allclose(sl.sigma_r, -2e6, rtol=1e-9)
         np.testing.assert_allclose(sl.sigma_theta, -2e6, rtol=1e-9)
 
@@ -146,9 +172,28 @@ class TestSolidCylinderSlice:
         # hotter center: compressive hoop at center region boundary, tensile rim
         r = np.linspace(0.0, GEOM.R_fo, 200)
         T = 1200.0 - 400.0 * (r / GEOM.R_fo) ** 2
-        sl = solid_cylinder_slice(r, T, 0.0, MAT.E_fuel, MAT.nu_fuel,
-                                  MAT.alpha_fuel)
+        sl = lame_thermoelastic_slice(r, T, 0.0, 0.0, MAT.E_fuel, MAT.nu_fuel,
+                                      MAT.alpha_fuel)
         assert sl.sigma_theta[0] < 0.0 < sl.sigma_theta[-1]
+
+    def test_parabolic_profile_closed_form(self):
+        # T = T0 - D (r/b)^2 has sigma_r = -KD/4 (1 - r^2/b^2),
+        # sigma_theta = KD/4 (3 r^2/b^2 - 1), sigma_z = KD (r^2/b^2 - 1/2);
+        # the trapezoid error on 200 points is 2.53e-5 (sigma_r) and
+        # 5.05e-5 (sigma_theta, sigma_z) of KD/4, tolerances are 10x that
+        b, D = GEOM.R_fo, 400.0
+        r = np.linspace(0.0, b, 200)
+        sl = lame_thermoelastic_slice(r, 1200.0 - D * (r / b) ** 2, 0.0, 0.0,
+                                      MAT.E_fuel, MAT.nu_fuel, MAT.alpha_fuel)
+        K = MAT.alpha_fuel * MAT.E_fuel / (1.0 - MAT.nu_fuel)
+        q = K * D / 4.0
+        x = (r / b) ** 2
+        np.testing.assert_allclose(sl.sigma_r, -q * (1.0 - x), rtol=0,
+                                   atol=2.6e-4 * q)
+        np.testing.assert_allclose(sl.sigma_theta, q * (3.0 * x - 1.0), rtol=0,
+                                   atol=5.1e-4 * q)
+        np.testing.assert_allclose(sl.sigma_z, 4.0 * q * (x - 0.5), rtol=0,
+                                   atol=5.1e-4 * q)
 
 
 class TestCreep:
