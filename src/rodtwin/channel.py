@@ -35,20 +35,25 @@ class ChannelState:
         return np.interp(z, self.z, self.h)
 
 
-def dittus_boelter_htc(props: WaterProps, G: float, D_h: float) -> float:
-    """h = 0.023 Re^0.8 Pr^0.4 k / D_h for turbulent liquid flow."""
+def dittus_boelter_htc(props: WaterProps, G: float, D_h: float):
+    """h = 0.023 Re^0.8 Pr^0.4 k / D_h for turbulent liquid flow (all points)."""
     Re = G * D_h / props.mu
-    if Re <= 1e4:
-        raise CorrelationRangeError(f"Dittus-Boelter needs Re > 1e4, got {Re:.3g}")
-    if not (0.6 < props.Pr < 160.0):
-        raise CorrelationRangeError(f"Dittus-Boelter needs 0.6 < Pr < 160, got {props.Pr:.3g}")
+    Re_min = float(np.min(Re))
+    if Re_min <= 1e4:
+        raise CorrelationRangeError(f"Dittus-Boelter needs Re > 1e4, got {Re_min:.3g}")
+    Pr_min, Pr_max = float(np.min(props.Pr)), float(np.max(props.Pr))
+    if not (0.6 < Pr_min and Pr_max < 160.0):
+        raise CorrelationRangeError(
+            f"Dittus-Boelter needs 0.6 < Pr < 160, got [{Pr_min:.3g}, {Pr_max:.3g}]")
     return 0.023 * Re ** 0.8 * props.Pr ** 0.4 * props.k / D_h
 
 
-def cheng_todreas_friction(Re: float, pitch_to_diameter: float) -> float:
-    """Turbulent interior-subchannel Darcy friction factor."""
-    if Re <= 1e4:
-        raise CorrelationRangeError(f"Cheng-Todreas turbulent fit needs Re > 1e4, got {Re:.3g}")
+def cheng_todreas_friction(Re, pitch_to_diameter: float):
+    """Turbulent interior-subchannel Darcy friction factor (scalar or array Re)."""
+    Re_min = float(np.min(Re))
+    if Re_min <= 1e4:
+        raise CorrelationRangeError(
+            f"Cheng-Todreas turbulent fit needs Re > 1e4, got {Re_min:.3g}")
     if not (1.0 < pitch_to_diameter <= 1.5):
         raise CorrelationRangeError(
             f"Cheng-Todreas interior fit needs 1 < P/D <= 1.5, got {pitch_to_diameter:.4g}")
@@ -77,50 +82,32 @@ def solve_channel(z: np.ndarray, wall_flux: np.ndarray,
 
     T = np.empty(n)
     T[0] = bc.T_in
-    for j in range(n - 1):
-        dz = z[j + 1] - z[j]
-        try:
+    at = 0  # node whose property lookup is under way
+    try:
+        for j in range(n - 1):
+            at = j
             cp = water_properties(T[j]).cp
-        except DomainError as e:
-            raise SolverError(f"coolant left the property table at z={z[j]:.4f} m",
-                              z=float(z[j])) from e
-        dq = 0.5 * (q[j] + q[j + 1]) * Ph * dz
-        # Heun step on cp(T) keeps the march second order
-        T_star = T[j] + dq / (GA * cp)
-        try:
-            cp_star = water_properties(T_star).cp
-        except DomainError as e:
-            raise SolverError(f"coolant left the property table at z={z[j + 1]:.4f} m",
-                              z=float(z[j + 1])) from e
-        T[j + 1] = T[j] + dq / (GA * 0.5 * (cp + cp_star))
+            dq = 0.5 * (q[j] + q[j + 1]) * Ph * (z[j + 1] - z[j])
+            # Heun step on cp(T) keeps the march second order
+            at = j + 1
+            cp_star = water_properties(T[j] + dq / (GA * cp)).cp
+            T[j + 1] = T[j] + dq / (GA * 0.5 * (cp + cp_star))
+        props = water_properties(T)
+    except DomainError as e:
+        raise SolverError(f"coolant left the property table at z={z[at]:.4f} m",
+                          z=float(z[at])) from e
 
-    rho = np.empty(n)
-    h = np.empty(n)
-    Re = np.empty(n)
-    Pr = np.empty(n)
-    for j in range(n):
-        try:
-            props = water_properties(T[j])
-        except DomainError as e:
-            raise SolverError(f"coolant left the property table at z={z[j]:.4f} m",
-                              z=float(z[j])) from e
-        rho[j] = props.rho
-        Re[j] = bc.G * bc.D_h / props.mu
-        Pr[j] = props.Pr
-        h[j] = dittus_boelter_htc(props, bc.G, bc.D_h)
+    Re = bc.G * bc.D_h / props.mu
+    h = dittus_boelter_htc(props, bc.G, bc.D_h)
 
-    p2d = bc.pitch / (2.0 * bc.R_co)
-    P = np.empty(n)
-    P[-1] = bc.P_out
-    for j in range(n - 2, -1, -1):
-        dz = z[j + 1] - z[j]
-        rho_m = 0.5 * (rho[j] + rho[j + 1])
-        Re_m = 0.5 * (Re[j] + Re[j + 1])
-        f = cheng_todreas_friction(Re_m, p2d)
-        dp = (f * bc.G ** 2 / (2.0 * rho_m * bc.D_h) + rho_m * STANDARD_GRAVITY) * dz
-        P[j] = P[j + 1] + dp
+    # downward pressure march from P_out, summed in march order
+    rho_m = 0.5 * (props.rho[:-1] + props.rho[1:])
+    f = cheng_todreas_friction(0.5 * (Re[:-1] + Re[1:]), bc.pitch / (2.0 * bc.R_co))
+    dp = (f * bc.G ** 2 / (2.0 * rho_m * bc.D_h) + rho_m * STANDARD_GRAVITY) * np.diff(z)
+    P = np.cumsum(np.concatenate([[bc.P_out], dp[::-1]]))[::-1]
 
-    return ChannelState(z=z, T_cool=T, h=h, P=P, U=bc.G / rho, Re=Re, Pr=Pr)
+    return ChannelState(z=z, T_cool=T, h=h, P=P, U=bc.G / props.rho, Re=Re,
+                        Pr=props.Pr)
 
 
 def uniform_channel_state(z: np.ndarray, bc: ChannelBoundary) -> ChannelState:

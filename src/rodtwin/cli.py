@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -124,10 +125,10 @@ def cmd_evaluate(args) -> int:
     rb, zb, regb, Tb = rio.field_arrays_from_csv(args.truth)
     rio.require_same_nodes(args.predicted, ra, za, rb, zb, args.truth)
     report = compute_metrics(Ta, Tb, regb)
-    print(json.dumps(report.to_dict(), indent=2))
     if args.out_dir is not None:
         out = _out_dir(args)
         rio.metrics_to_json(report, out / "metrics.json")
+    print(json.dumps(report.to_dict(), indent=2))
     return EXIT_OK
 
 
@@ -221,7 +222,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader left (`| head -1`) after the outputs were written;
+        # devnull keeps the interpreter's last flush from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except FileNotFoundError as e:
         _emit_error("missing-file", e)
         return EXIT_MISSING

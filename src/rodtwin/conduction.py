@@ -3,25 +3,27 @@
 Vertex-centred finite volumes in RZ coordinates; the temperature dependence of
 the conductivities is resolved by Picard iteration with a direct sparse solve
 per sweep. Boundaries: centerline/ends adiabatic, cladding outer surface Robin
-against the coolant, pellet surface coupled to the cladding inner surface by a
-gap conductance.
+against the coolant (re-marched every sweep when the channel is solved too),
+pellet surface coupled to the cladding inner surface by a gap conductance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .channel import ChannelState
-from .core import MaterialParams, clad_conductivity, fuel_conductivity, linear_heat_rate
+from .channel import ChannelState, solve_channel
+from .core import (ChannelBoundary, MaterialParams, clad_conductivity,
+                   fuel_conductivity, linear_heat_rate)
 from .errors import SolverError
 from .mesh import RodMesh
 
 PICARD_TOL = 0.01      # max |dT| between sweeps [K]
 PICARD_MAX_ITER = 200
+COOLANT_RELAX = 0.7    # under-relaxation on the re-marched T_cool
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,7 @@ class TemperatureField:
     T_clad: np.ndarray  # (nz, nr_clad)
     picard_iterations: int = 0
     picard_residuals: tuple = ()
+    coolant: ChannelState | None = None  # Robin boundary of the last solve
 
     def flatten(self) -> np.ndarray:
         """Node temperatures in the mesh's canonical node order."""
@@ -132,11 +135,16 @@ def _push(rows, cols, vals, p, q, g):
 
 def assemble_and_solve_conduction(mesh: RodMesh, m: MaterialParams,
                                   src: VolumetricSource, coolant: ChannelState,
-                                  burnup: float = 0.0) -> TemperatureField:
+                                  burnup: float = 0.0,
+                                  channel: ChannelBoundary | None = None
+                                  ) -> TemperatureField:
     """Solve div(k grad T) + q''' = 0 over pellet and cladding.
 
     Picard-iterates the conductivity nonlinearity to max|dT| < 0.01 K
-    (<= 200 sweeps) with a direct sparse factorization per sweep.
+    (<= 200 sweeps) with a direct sparse factorization per sweep. Given
+    ``channel``, each sweep then re-marches the coolant from the new wall
+    heat flux, under-relaxed, so the loop is also the rod-channel fixed
+    point; the field keeps the coolant of its last solve.
     """
     geom = mesh.geom
     gf = _RegionGeom(mesh.r_fuel, mesh.z_fuel)
@@ -144,16 +152,10 @@ def assemble_and_solve_conduction(mesh: RodMesh, m: MaterialParams,
     nf = mesh.n_fuel_nodes
     n = nf + mesh.n_clad_nodes
 
-    T_cool = coolant.interp_T(mesh.z)
-    h_conv = coolant.interp_h(mesh.z)
-
-    # T-independent pieces: source vector, Robin conductances, gap areas
-    b0 = np.zeros(n)
-    b0[:nf] = (src.qppp[:, None] * gf.cv_cross[None, :] * gf.dz_cv[:, None]).ravel()
-
-    g_rob = h_conv * 2.0 * np.pi * geom.R_co * gc.dz_cv                # (nz,)
+    # T-independent pieces: source vector, Robin node indices, gap areas
+    b_src = np.zeros(n)
+    b_src[:nf] = (src.qppp[:, None] * gf.cv_cross[None, :] * gf.dz_cv[:, None]).ravel()
     rob_idx = nf + np.arange(mesh.nz) * mesh.nr_clad + (mesh.nr_clad - 1)
-    b0[rob_idx] += g_rob * T_cool
 
     r_gap = 0.5 * (geom.R_fo + geom.R_ci)
     g_gap = m.h_gap * 2.0 * np.pi * r_gap * gf.dz_cv                   # (nz_fuel,)
@@ -161,10 +163,17 @@ def assemble_and_solve_conduction(mesh: RodMesh, m: MaterialParams,
     gap_clad = nf + (mesh.jf0 + np.arange(mesh.nz_fuel)) * mesh.nr_clad
 
     T_fuel = np.full((mesh.nz_fuel, mesh.nr_fuel), coolant.interp_T(mesh.z_fuel)[:, None])
-    T_clad = np.full((mesh.nz, mesh.nr_clad), T_cool[:, None])
+    T_clad = np.full((mesh.nz, mesh.nr_clad), coolant.interp_T(mesh.z)[:, None])
 
     residuals = []
     for it in range(PICARD_MAX_ITER):
+        # Robin conductances and right-hand side from the current coolant
+        T_cool = coolant.interp_T(mesh.z)
+        h_conv = coolant.interp_h(mesh.z)
+        g_rob = h_conv * 2.0 * np.pi * geom.R_co * gc.dz_cv            # (nz,)
+        b = b_src.copy()
+        b[rob_idx] += g_rob * T_cool
+
         kf = fuel_conductivity(T_fuel, burnup, m)
         kc = clad_conductivity(T_clad, m)
 
@@ -181,7 +190,7 @@ def assemble_and_solve_conduction(mesh: RodMesh, m: MaterialParams,
                            (np.concatenate(rows), np.concatenate(cols))),
                           shape=(n, n)).tocsc()
         try:
-            T_new = spla.spsolve(A, b0)
+            T_new = spla.spsolve(A, b)
         except RuntimeError as e:  # pragma: no cover - singular only if misconfigured
             raise SolverError(f"conduction system factorization failed: {e}") from e
         if not np.all(np.isfinite(T_new)):
@@ -196,7 +205,12 @@ def assemble_and_solve_conduction(mesh: RodMesh, m: MaterialParams,
         if resid < PICARD_TOL:
             return TemperatureField(mesh=mesh, T_fuel=T_fuel, T_clad=T_clad,
                                     picard_iterations=it + 1,
-                                    picard_residuals=tuple(residuals))
+                                    picard_residuals=tuple(residuals),
+                                    coolant=coolant)
+        if channel is not None:
+            fresh = solve_channel(mesh.z, h_conv * (T_clad[:, -1] - T_cool), channel)
+            coolant = replace(fresh, T_cool=COOLANT_RELAX * fresh.T_cool
+                              + (1.0 - COOLANT_RELAX) * coolant.T_cool)
 
     raise SolverError(f"Picard iteration did not reach {PICARD_TOL} K in "
                       f"{PICARD_MAX_ITER} sweeps", residuals=residuals)

@@ -174,18 +174,24 @@ WATER_T_MIN = float(_WATER_T[0])
 WATER_T_MAX = float(_WATER_T[-1])
 
 
-def water_properties(T: float) -> WaterProps:
+def water_properties(T) -> WaterProps:
     """Linear interpolation of the embedded 15.51 MPa liquid water table.
 
-    No extrapolation: T outside [560, 630] K raises DomainError.
+    A scalar gives float fields, a numpy array array fields. No
+    extrapolation: any T outside [560, 630] K raises DomainError.
     """
-    T = float(T)
-    if not (WATER_T_MIN <= T <= WATER_T_MAX):
-        raise DomainError(f"water table covers {WATER_T_MIN}-{WATER_T_MAX} K, got T={T}")
-    rho = float(np.interp(T, _WATER_T, _WATER_RHO))
-    cp = float(np.interp(T, _WATER_T, _WATER_CP))
-    mu = float(np.interp(T, _WATER_T, _WATER_MU))
-    k = float(np.interp(T, _WATER_T, _WATER_K))
+    array = isinstance(T, np.ndarray)
+    T = T.astype(float, copy=False) if array else float(T)
+    lo, hi = (float(T.min()), float(T.max())) if array else (T, T)
+    if not (WATER_T_MIN <= lo and hi <= WATER_T_MAX):  # NaN fails it too
+        raise DomainError(f"water table covers {WATER_T_MIN}-{WATER_T_MAX} K, "
+                          f"got T in [{lo}, {hi}]")
+    rho = np.interp(T, _WATER_T, _WATER_RHO)
+    cp = np.interp(T, _WATER_T, _WATER_CP)
+    mu = np.interp(T, _WATER_T, _WATER_MU)
+    k = np.interp(T, _WATER_T, _WATER_K)
+    if not array:
+        rho, cp, mu, k = float(rho), float(cp), float(mu), float(k)
     return WaterProps(rho=rho, cp=cp, mu=mu, k=k, Pr=mu * cp / k)
 
 

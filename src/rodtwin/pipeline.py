@@ -1,23 +1,20 @@
-"""Rod-channel fixed-point coupling, case sweeps, dataset assembly and sensor
+"""Rod-channel coupled cases, case sweeps, dataset assembly and sensor
 extraction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelState, solve_channel, uniform_channel_state
+from .channel import ChannelState, uniform_channel_state
 from .conduction import (TemperatureField, VolumetricSource,
-                         assemble_and_solve_conduction, wall_heat_flux)
+                         assemble_and_solve_conduction)
 from .config import TwinConfig
 from .core import HeatSource
 from .errors import ConfigurationError, DomainError, SolverError
 from .mesh import build_rod_mesh
 
-COUPLING_TOL = 0.1        # max axial |dT_wall| between sweeps [K]
-COUPLING_MAX_ITER = 50
-COUPLING_RELAX = 0.7      # under-relaxation on T_cool
 SPLITS = ("train", "validate", "test")
 
 Q0_MIN, Q0_MAX = 5e3, 45e3  # admissible peak LHGR band [W/m]
@@ -117,36 +114,22 @@ class Dataset:
 
 
 def couple_rod_channel(spec: CaseSpec, cfg: TwinConfig) -> CoupledSolution:
-    """Picard fixed point between the rod conduction and channel solvers.
+    """Rod conduction and channel march converged in one Picard loop.
 
-    Each sweep: rod solve with the current coolant state, wall-flux exchange,
-    channel solve, then under-relaxed coolant temperature update. Converged on
-    max axial |dT_wall| < 0.1 K between successive rod solves.
+    See ``assemble_and_solve_conduction``; ``iterations``, ``residual`` and
+    ``residual_trace`` are that loop's (max |dT| over the field < 0.01 K).
     """
-    geom, m, bc = cfg.geometry, cfg.materials, cfg.channel
+    geom, bc = cfg.geometry, cfg.channel
     mesh = build_rod_mesh(geom, cfg.mesh.nr_fuel, cfg.mesh.nz, cfg.mesh.nr_clad)
     src = HeatSource(q0=spec.q0, delta_e=cfg.delta_e)
     vs = VolumetricSource.from_heat_source(src, geom, mesh)
-
-    coolant = uniform_channel_state(mesh.z, bc)
-    prev_wall = None
-    trace = []
-    for it in range(1, COUPLING_MAX_ITER + 1):
-        field = assemble_and_solve_conduction(mesh, m, vs, coolant, spec.burnup)
-        if prev_wall is not None:
-            resid = float(np.abs(field.wall - prev_wall).max())
-            trace.append(resid)
-            if resid < COUPLING_TOL:
-                return CoupledSolution(field=field, channel=coolant, iterations=it,
-                                       residual=resid, residual_trace=tuple(trace))
-        prev_wall = field.wall
-        fresh = solve_channel(mesh.z, wall_heat_flux(field, coolant), bc)
-        T_relaxed = (COUPLING_RELAX * fresh.T_cool
-                     + (1.0 - COUPLING_RELAX) * coolant.T_cool)
-        coolant = replace(fresh, T_cool=T_relaxed)
-
-    raise SolverError(f"rod-channel coupling did not reach {COUPLING_TOL} K in "
-                      f"{COUPLING_MAX_ITER} sweeps", residuals=trace)
+    field = assemble_and_solve_conduction(mesh, cfg.materials, vs,
+                                          uniform_channel_state(mesh.z, bc),
+                                          spec.burnup, channel=bc)
+    return CoupledSolution(field=field, channel=field.coolant,
+                           iterations=field.picard_iterations,
+                           residual=field.picard_residuals[-1],
+                           residual_trace=field.picard_residuals)
 
 
 def extract_sensors(solution: CoupledSolution, z_locations, eta: float,

@@ -233,9 +233,10 @@ def test_criterion_9_property_suite(coupled_desk, tmp_path):
     power = integrated_rod_power(HeatSource(q0=20e3), GEOM)
     ok_energy = abs(out - power) / power < 5e-3
 
-    # Picard residuals of the final rod solve decrease monotonically
+    # Picard residuals of the coupled solve decrease monotonically, over a
+    # trace long enough for that to mean something
     resid = np.asarray(coupled_desk.field.picard_residuals)
-    ok_picard = bool(np.all(np.diff(resid) < 0.0))
+    ok_picard = bool(resid.size >= 2 and np.all(np.diff(resid) < 0.0))
 
     # observed order on the nested annulus refinement
     from rodtwin.mesh import build_rod_mesh

@@ -51,6 +51,20 @@ class TestDittusBoelter:
         with pytest.raises(CorrelationRangeError):
             dittus_boelter_htc(props, G=10.0, D_h=1.0)
 
+    def test_array_matches_scalar_calls(self):
+        T = np.linspace(570.0, 620.0, 41)
+        h = dittus_boelter_htc(water_properties(T), BC.G, BC.D_h)
+        ref = [dittus_boelter_htc(water_properties(float(t)), BC.G, BC.D_h)
+               for t in T]
+        # array ** may differ from scalar ** in the last ulp
+        np.testing.assert_allclose(h, ref, rtol=4e-16, atol=0.0)
+
+    def test_array_with_one_laminar_point_rejected(self):
+        mu = np.full(5, 1e-5)
+        mu[2] = 1e-2
+        with pytest.raises(CorrelationRangeError):
+            dittus_boelter_htc(_props(mu=mu, cp=4000.0, k=0.5), G=1.0, D_h=1.0)
+
 
 class TestChengTodreas:
     def test_reynolds_power_law(self):
@@ -68,6 +82,14 @@ class TestChengTodreas:
     def test_continuity_in_reynolds(self):
         assert abs(cheng_todreas_friction(1e5, 1.326)
                    - cheng_todreas_friction(1e5 + 1.0, 1.326)) < 1e-6
+
+    def test_array_matches_scalar_calls(self):
+        Re = np.geomspace(2e4, 2e6, 33)
+        ref = [cheng_todreas_friction(float(x), 1.326) for x in Re]
+        np.testing.assert_allclose(cheng_todreas_friction(Re, 1.326), ref,
+                                   rtol=4e-16, atol=0.0)
+        with pytest.raises(CorrelationRangeError):
+            cheng_todreas_friction(np.array([1e5, 5e3, 1e6]), 1.326)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(CorrelationRangeError):
@@ -138,6 +160,31 @@ class TestSolveChannel:
         assert np.all(np.diff(st.P) < 0.0)
         # inlet head is dominated by gravity plus a friction contribution
         assert 4e4 < st.P[0] - st.P[-1] < 1e5
+
+    def test_pressure_march_sums_downward(self):
+        src = HeatSource(q0=25e3)
+        z = np.linspace(0.0, GEOM.L_fr, 90)
+        st = solve_channel(z, linear_heat_rate(z, src, GEOM) / BC.heated_perimeter, BC)
+        # the node-by-node march from the outlet, in the same summation order
+        p2d = BC.pitch / (2.0 * BC.R_co)
+        rho = BC.G / st.U
+        P = np.empty(z.size)
+        P[-1] = BC.P_out
+        for j in range(z.size - 2, -1, -1):
+            rho_m = 0.5 * (rho[j] + rho[j + 1])
+            f = cheng_todreas_friction(0.5 * (st.Re[j] + st.Re[j + 1]), p2d)
+            P[j] = P[j + 1] + (f * BC.G ** 2 / (2.0 * rho_m * BC.D_h)
+                               + rho_m * 9.80665) * (z[j + 1] - z[j])
+        np.testing.assert_allclose(st.P, P, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("n, flux, node", [(50, 3e6, 17), (30, 2e7, 2)])
+    def test_table_exit_names_the_node(self, n, flux, node):
+        # the Heun predictor leaves the table on its way to this node, so
+        # the error names it rather than the node the step started from
+        z = np.linspace(0.0, GEOM.L_fr, n)
+        with pytest.raises(SolverError) as exc:
+            solve_channel(z, np.full_like(z, flux), BC)
+        assert exc.value.z == z[node]
 
     def test_monotone_heating(self):
         src = HeatSource(q0=20e3)

@@ -1,7 +1,11 @@
 """Command-line workflows: subcommand chaining, exit codes, error JSON."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,6 +189,22 @@ class TestEvaluate:
         main(["simulate", "--config", tiny_cfg_path, "--out-dir", str(out)])
         rec = out / "field.csv"
         assert main(["evaluate", str(rec), str(rec)]) == EXIT_OK
+
+    def test_closed_stdout_exits_quietly(self, tiny_run):
+        # `rodtwin evaluate A B | head -1`: the reader is gone before the
+        # metrics are printed
+        import rodtwin
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(rodtwin.__file__).parents[1]),
+             os.environ.get("PYTHONPATH", "")]))
+        field = str(tiny_run / "field.csv")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rodtwin.cli", "evaluate", field, field],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == EXIT_OK
+        assert err == ""
 
 
 class TestExitCodes:

@@ -177,6 +177,24 @@ class TestWaterProperties:
         with pytest.raises(DomainError):
             water_properties(WATER_T_MAX + 1.0)
 
+    def test_array_equals_scalar_calls(self):
+        T = np.linspace(WATER_T_MIN, WATER_T_MAX, 57)
+        w = water_properties(T)
+        for f in ("rho", "cp", "mu", "k", "Pr"):
+            assert getattr(w, f).shape == T.shape
+            assert np.array_equal(getattr(w, f),
+                                  [getattr(water_properties(float(t)), f)
+                                   for t in T])
+        assert type(water_properties(600.0).cp) is float
+
+    @pytest.mark.parametrize("bad", [WATER_T_MIN - 1e-9, WATER_T_MAX + 1.0,
+                                     np.nan])
+    def test_array_with_one_point_outside_raises(self, bad):
+        T = np.linspace(580.0, 600.0, 9)
+        T[4] = bad
+        with pytest.raises(DomainError):
+            water_properties(T)
+
     @given(T=st.floats(WATER_T_MIN, WATER_T_MAX))
     @settings(max_examples=50, deadline=None)
     def test_interpolation_within_hull(self, T):

@@ -6,7 +6,8 @@ import pytest
 from rodtwin.config import MeshConfig, SensorConfig, TwinConfig
 from rodtwin.core import (ChannelBoundary, HeatSource, RodGeometry,
                           integrated_rod_power)
-from rodtwin.errors import ConfigurationError, DomainError
+from rodtwin import conduction
+from rodtwin.errors import ConfigurationError, DomainError, SolverError
 from rodtwin.pipeline import (CaseSpec, burnup_sweep, couple_rod_channel,
                               extract_sensors, generate_dataset, roster_specs)
 
@@ -57,6 +58,23 @@ class TestCoupling:
         trace = np.asarray(coupled20.residual_trace)
         assert trace.size >= 2
         assert np.all(np.diff(trace[2:]) < 0.0)
+
+    def test_one_loop_counts(self, coupled20):
+        field = coupled20.field
+        assert coupled20.iterations == field.picard_iterations
+        assert coupled20.residual_trace == field.picard_residuals
+        assert coupled20.residual == field.picard_residuals[-1] < 0.01
+        assert coupled20.channel is field.coolant
+
+    def test_non_convergence_raises(self, cfg_coarse, monkeypatch):
+        monkeypatch.setattr(conduction, "PICARD_MAX_ITER", 2)
+        spec = CaseSpec(case_id="c20", q0=20e3, burnup=0.0, split="test")
+        with pytest.raises(SolverError) as exc:
+            couple_rod_channel(spec, cfg_coarse)
+        assert len(exc.value.residuals) == 2
+        with pytest.raises(SolverError, match="case 'c20' failed") as exc:
+            generate_dataset([spec], cfg_coarse)
+        assert len(exc.value.residuals) == 2
 
 
 class TestSensors:
