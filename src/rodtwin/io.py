@@ -40,10 +40,14 @@ def _write_csv(path, header, columns):
 
 
 def _read_csv(path, required):
-    """Columns by header name. Raises ConfigurationError on a missing
-    required column, no data rows, or a row of the wrong length."""
-    with open(path, newline="") as f:
-        rows = [row for row in csv.reader(f) if row]
+    """Columns by header name. Raises ConfigurationError on undecodable
+    text or a CSV syntax error, a missing required column, no data rows, or
+    a row of the wrong length."""
+    try:
+        with open(path, newline="") as f:
+            rows = [row for row in csv.reader(f) if row]
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise ConfigurationError(f"{path}: {type(e).__name__}: {e}") from e
     header, body = (rows[0], rows[1:]) if rows else ([], [])
     missing = [h for h in required if h not in header]
     if missing:
@@ -55,11 +59,19 @@ def _read_csv(path, required):
     return {h: [row[i] for row in body] for i, h in enumerate(header)}
 
 
-def _floats(path, values) -> np.ndarray:
+def _floats(path, cols, name) -> np.ndarray:
+    """Column name of cols as floats; ConfigurationError on a value that is
+    not a number or not finite."""
     try:
-        return np.array([float(v) for v in values])
+        out = np.array([float(v) for v in cols[name]])
     except ValueError as e:
-        raise ConfigurationError(f"{path}: {e}") from e
+        raise ConfigurationError(f"{path}: column {name}: {e}") from e
+    bad = ~np.isfinite(out)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ConfigurationError(f"{path}: column {name}, data row {k + 1}: "
+                                 f"non-finite value {cols[name][k]!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +88,8 @@ def field_to_csv(field: TemperatureField, path) -> None:
 
 def field_arrays_from_csv(path):
     cols = _read_csv(path, ("r", "z", "region", "T"))
-    return (_floats(path, cols["r"]), _floats(path, cols["z"]), cols["region"],
-            _floats(path, cols["T"]))
+    return (_floats(path, cols, "r"), _floats(path, cols, "z"), cols["region"],
+            _floats(path, cols, "T"))
 
 
 def require_same_nodes(path, r, z, r_ref, z_ref, ref_name: str) -> None:
@@ -115,7 +127,7 @@ def sensors_to_csv(sensors: SensorSet, path) -> None:
 
 def sensors_from_csv(path) -> SensorSet:
     cols = _read_csv(path, SENSOR_COLUMNS)
-    arr = {k: _floats(path, cols[k]) for k in SENSOR_COLUMNS}
+    arr = {k: _floats(path, cols, k) for k in SENSOR_COLUMNS}
     return SensorSet(z=arr["z"], r=arr["r"], T=arr["T"], T_inf=arr["T_inf"],
                      dhat=arr["dhat"], w=arr["w"], eta=float(arr["eta"][0]))
 

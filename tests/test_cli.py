@@ -1,5 +1,7 @@
 """Command-line workflows: subcommand chaining, exit codes, error JSON."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rodtwin.cli import (EXIT_CONFIG, EXIT_MISSING, EXIT_OK, main)
 
@@ -297,6 +301,36 @@ class TestExitCodes:
         err = _assert_config_error(capsys, rc)
         assert "dhat" in err["message"]
 
+    @pytest.mark.parametrize("column", ["T", "z", "w"])
+    def test_reconstruct_rejects_nan_sensor(self, tiny_cfg_path, tiny_run,
+                                            tiny_model, tmp_path, capsys,
+                                            column):
+        def edit(rows):
+            rows[1][rows[0].index(column)] = "nan"
+            return rows
+        sensors = tmp_path / "sensors.csv"
+        _rewrite_csv(tiny_run / "sensors.csv", sensors, edit)
+        capsys.readouterr()
+        rc = main(["reconstruct", "--config", tiny_cfg_path,
+                   "--checkpoint", str(tiny_model / "checkpoint.json"),
+                   "--sensors", str(sensors), "--out-dir", str(tmp_path / "rec")])
+        err = _assert_config_error(capsys, rc)
+        assert "non-finite" in err["message"]
+        assert not (tmp_path / "rec" / "reconstructed.csv").exists()
+
+    def test_evaluate_rejects_nan_temperature(self, tiny_run, tmp_path, capsys):
+        def edit(rows):
+            rows[5][-1] = "nan"
+            return rows
+        field = tmp_path / "field.csv"
+        _rewrite_csv(tiny_run / "field.csv", field, edit)
+        capsys.readouterr()
+        rc = main(["evaluate", str(field), str(tiny_run / "field.csv")])
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        assert captured.out == ""     # no metrics with "r_squared": NaN
+        assert "non-finite" in json.loads(captured.err)["message"]
+
     @pytest.mark.parametrize("key", ["config", "splits", "cases",
                                      "normalization", "seed"])
     def test_train_rejects_manifest_without_key(self, tiny_model, tmp_path,
@@ -318,3 +352,59 @@ class TestExitCodes:
         assert rc == EXIT_MISSING
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "missing-file"
+
+
+# Malformed sensors files: one edit of a valid tiny-config sensors.csv, or a
+# whole file of empty or arbitrary bytes. Every edit leaves the file invalid:
+# each of its seven columns is required, and cell edits only touch data rows.
+_NOT_A_NUMBER = st.text(alphabet="abcxyz_.-+e ", max_size=6)   # no digit, n, i
+_NON_FINITE = st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf",
+                               "+Infinity", "1e999", "-1e400"])
+_SENSOR_EDITS = st.one_of(
+    st.tuples(st.just("drop-column"), st.integers(0, 6)),
+    st.tuples(st.just("cell"), st.integers(1, 4), st.integers(0, 6),
+              st.one_of(_NOT_A_NUMBER, _NON_FINITE)),
+    st.tuples(st.just("ragged"), st.integers(0, 4), st.booleans()),
+    st.tuples(st.just("header-only")),
+    st.tuples(st.just("bytes"), st.one_of(
+        st.sampled_from([b"", b"\n", b" \n\n", b"\x00"]), st.binary(max_size=64))),
+)
+
+
+def _edited_sensors(text, edit):
+    rows = [line.split(",") for line in text.splitlines()]
+    kind = edit[0]
+    if kind == "bytes":
+        return edit[1]
+    if kind == "drop-column":
+        k = edit[1]
+        rows = [row[:k] + row[k + 1:] for row in rows]
+    elif kind == "cell":
+        rows[edit[1]][edit[2]] = edit[3]
+    elif kind == "ragged":
+        row = rows[edit[1]]
+        rows[edit[1]] = row + ["1.0"] if edit[2] else row[:-1]
+    else:
+        rows = rows[:1]
+    return ("\n".join(",".join(row) for row in rows) + "\n").encode()
+
+
+class TestSensorsFuzz:
+    @given(edit=_SENSOR_EDITS)
+    @settings(max_examples=50, deadline=None)
+    def test_malformed_sensors_exit_with_one_error_object(
+            self, tiny_cfg_path, tiny_run, tiny_model, tmp_path_factory, edit):
+        sensors = tmp_path_factory.getbasetemp() / "fuzz_sensors.csv"
+        sensors.write_bytes(_edited_sensors(
+            (tiny_run / "sensors.csv").read_text(), edit))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = main(["reconstruct", "--config", tiny_cfg_path,
+                       "--checkpoint", str(tiny_model / "checkpoint.json"),
+                       "--sensors", str(sensors),
+                       "--out-dir", str(sensors.parent / "fuzz_rec")])
+        assert rc in (2, 3, 4, 5)
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error", "type", "message"}

@@ -13,7 +13,8 @@ from rodtwin.io import (SENSOR_COLUMNS, field_arrays_from_csv, field_from_csv,
                         save_checkpoint, save_dataset, sensors_from_csv,
                         sensors_to_csv, strain_report_to_json,
                         stress_field_to_csv)
-from rodtwin.khnet import PARAM_KEYS, train
+from rodtwin.khnet import (PARAM_KEYS, kh_integrate, kh_physical_layer,
+                           train)
 from rodtwin.metrics import compute_metrics
 from rodtwin.pipeline import NormConstants
 
@@ -70,6 +71,16 @@ class TestFieldCsv:
         with pytest.raises(ConfigurationError):
             field_arrays_from_csv(path)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_rejected(self, coupled20, tmp_path, token):
+        path = tmp_path / "field.csv"
+        field_to_csv(coupled20.field, path)
+        _rewrite_csv(path, lambda rows: rows[:3] + [rows[3][:3] + [token]]
+                     + rows[4:])
+        with pytest.raises(ConfigurationError,
+                           match="column T, data row 3: non-finite"):
+            field_arrays_from_csv(path)
+
 
 class TestSensorsCsv:
     def test_round_trip_bit_exact(self, coupled20, tmp_path):
@@ -105,6 +116,26 @@ class TestSensorsCsv:
     def test_malformed_rows_rejected(self, sensors_path, edit):
         _rewrite_csv(sensors_path, edit)
         with pytest.raises(ConfigurationError):
+            sensors_from_csv(sensors_path)
+
+    @pytest.mark.parametrize("column", ["z", "T", "w"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_rejected(self, sensors_path, column, token):
+        def edit(rows):
+            rows[2][rows[0].index(column)] = token
+            return rows
+        _rewrite_csv(sensors_path, edit)
+        with pytest.raises(ConfigurationError,
+                           match=f"column {column}, data row 2: non-finite"):
+            sensors_from_csv(sensors_path)
+
+    @pytest.mark.parametrize("data, error", [
+        (b"z,r,\xff\xfe\n", "UnicodeDecodeError"),           # not UTF-8
+        (b"z," + b"1" * 200_000 + b"\n", "Error: field larger"),  # csv.Error
+    ], ids=["undecodable", "oversized-field"])
+    def test_unreadable_text_rejected(self, sensors_path, data, error):
+        sensors_path.write_bytes(data)
+        with pytest.raises(ConfigurationError, match=error):
             sensors_from_csv(sensors_path)
 
 
@@ -199,8 +230,11 @@ class TestCheckpoint:
         u = rng.uniform(-1, 1, size=4)
         d = rng.uniform(-1, 1, size=4)
         w = rng.uniform(0.1, 1, size=4)
-        np.testing.assert_array_equal(again.predict_normalized(feats, u, d, w),
-                                      model.predict_normalized(feats, u, d, w))
+
+        def predict(m):
+            g, dg = m.kernels(feats)
+            return kh_integrate(kh_physical_layer(u, d, g, dg), w)
+        np.testing.assert_array_equal(predict(again), predict(model))
 
     def test_wrong_architecture_rejected(self, dataset_tiny, tmp_path):
         model, _ = train(dataset_tiny, TrainSettings(epochs=1, fixed_lr=1e-3))

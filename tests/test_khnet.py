@@ -2,6 +2,7 @@
 gradients, Adam, schedule, training loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -454,15 +455,129 @@ class TestReconstruction:
         model = _random_model(9)
         rng = np.random.default_rng(10)
         feats, u, d, w, _ = _random_batch(rng, b=6)
-        p1 = model.predict_normalized(feats, u[0], d[0], w[0])
-        p2 = model.predict_normalized(feats, 2 * u[0], 2 * d[0], w[0])
+        g, dg = model.kernels(feats)
+        p1 = kh_integrate(kh_physical_layer(u[0], d[0], g, dg), w[0])
+        p2 = kh_integrate(kh_physical_layer(2 * u[0], 2 * d[0], g, dg), w[0])
         np.testing.assert_allclose(p2, 2.0 * p1, rtol=1e-12)
 
     def test_mismatched_sensors_rejected(self, dataset_tiny, cfg_tiny):
-        from dataclasses import replace
         model, _ = train(dataset_tiny, TrainSettings(epochs=1, fixed_lr=1e-3))
         mesh = mesh_from_config(cfg_tiny)
         c = dataset_tiny.cases[0]
         bad = replace(c.sensors, T=c.sensors.T + 5000.0)
         with pytest.raises(ConfigurationError):
             reconstruct_field(model, bad, mesh)
+        # a dead thermocouple reads nan or inf; the |u| > 3 test alone
+        # lets a nan through
+        for name in ("T", "dhat"):
+            for value in (np.nan, np.inf, -np.inf):
+                arr = getattr(c.sensors, name).copy()
+                arr[1] = value
+                with pytest.raises(ConfigurationError, match="non-finite"):
+                    reconstruct_field(model, replace(c.sensors, **{name: arr}),
+                                      mesh)
+
+
+def _cold(model):
+    """A model with the same theta and norm that has never reconstructed."""
+    return KhModel(G_stack=model.G_stack, dG_stack=model.dG_stack,
+                   norm=model.norm, eta=model.eta)
+
+
+def _snapshot(sensors, seed):
+    """The sensors with 0.5 K of seeded noise on T, and dhat to match."""
+    T = sensors.T + np.random.default_rng(seed).normal(0.0, 0.5,
+                                                       sensors.T.shape)
+    return replace(sensors, T=T, dhat=-sensors.eta * (T - sensors.T_inf))
+
+
+def _bits(field):
+    return field.flatten().tobytes()
+
+
+def _edit_view(model, sensors, mesh):
+    model.G_stack["W2"][3, 4] += 0.05
+    return sensors, mesh
+
+
+def _adam(model, sensors, mesh):
+    grad = np.random.default_rng(2).normal(size=N_PARAMS)
+    adam_step(model, AdamState.for_model(model), grad, 1e-3)
+    return sensors, mesh
+
+
+def _move_sensor(model, sensors, mesh):
+    z = sensors.z.copy()
+    z[2] += 0.01
+    return replace(sensors, z=z), mesh
+
+
+def _other_mesh(model, sensors, mesh):
+    from rodtwin.config import MeshConfig, TwinConfig
+    return sensors, mesh_from_config(
+        TwinConfig(mesh=MeshConfig(nr_fuel=5, nr_clad=2, nz=10)))
+
+
+def _replace_norm(model, sensors, mesh):
+    model.norm = replace(model.norm, z_scale=1.5 * model.norm.z_scale)
+    return sensors, mesh
+
+
+class TestLayoutKernels:
+    """reconstruct_field keeps the kernels of the last layout on the model;
+    every result must be the bits a model without that cache gives."""
+
+    @pytest.fixture
+    def setup(self, dataset_tiny, cfg_tiny):
+        rng = np.random.default_rng(11)
+        model = KhModel(G_stack=init_stack(rng), dG_stack=init_stack(rng),
+                        norm=dataset_tiny.norm, eta=1.0)
+        return model, dataset_tiny.cases[0].sensors, mesh_from_config(cfg_tiny)
+
+    def test_warm_call_runs_no_stack_and_matches_cold_model(self, setup,
+                                                           monkeypatch):
+        import rodtwin.khnet as khnet
+        model, sensors, mesh = setup
+        reconstruct_field(model, _snapshot(sensors, 0), mesh)
+        calls = []
+        for name in ("boundary_features", "dense_forward"):
+            fn = getattr(khnet, name)
+            monkeypatch.setattr(khnet, name, lambda *a, fn=fn, name=name:
+                                calls.append(name) or fn(*a))
+        warm = reconstruct_field(model, _snapshot(sensors, 1), mesh)
+        assert calls == []
+        cold = reconstruct_field(_cold(model), _snapshot(sensors, 1), mesh)
+        assert calls == ["boundary_features", "dense_forward", "dense_forward"]
+        assert _bits(warm) == _bits(cold)
+
+    def test_kept_kernels_are_read_only(self, setup):
+        model, sensors, mesh = setup
+        r, z, _ = mesh.node_table()
+        for k in model.layout_kernels(np.column_stack([r, z]),
+                                      np.column_stack([sensors.r, sensors.z])):
+            with pytest.raises(ValueError):
+                k[0, 0] = 0.0
+
+    @pytest.mark.parametrize("change", [_edit_view, _adam, _move_sensor,
+                                        _other_mesh, _replace_norm],
+                             ids=["stack-view-write", "adam-step",
+                                  "moved-sensor", "other-mesh",
+                                  "replaced-norm"])
+    def test_change_after_warm_call_matches_cold_model(self, setup, change):
+        model, sensors, mesh = setup
+        warm = reconstruct_field(model, _snapshot(sensors, 0), mesh)
+        sensors, mesh = change(model, sensors, mesh)
+        got = reconstruct_field(model, _snapshot(sensors, 0), mesh)
+        assert _bits(got) != _bits(warm)      # the change moves the field
+        assert _bits(got) == _bits(
+            reconstruct_field(_cold(model), _snapshot(sensors, 0), mesh))
+
+    def test_checkpoint_bytes_unchanged_by_reconstruction(self, setup,
+                                                          tmp_path):
+        from rodtwin.io import save_checkpoint
+        model, sensors, mesh = setup
+        save_checkpoint(model, tmp_path / "before.json")
+        reconstruct_field(model, sensors, mesh)
+        save_checkpoint(model, tmp_path / "after.json")
+        assert (tmp_path / "before.json").read_bytes() == \
+            (tmp_path / "after.json").read_bytes()
