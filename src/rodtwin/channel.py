@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (STANDARD_GRAVITY, ChannelBoundary, WaterProps,
-                   water_properties)
+from .core import (STANDARD_GRAVITY, WATER_H_MAX, WATER_T_MAX, WATER_T_MIN,
+                   ChannelBoundary, WaterProps, water_enthalpy,
+                   water_properties, water_temperature)
 from .errors import CorrelationRangeError, DomainError, SolverError
 
 # Cheng-Todreas turbulent friction constant for an interior subchannel of a
@@ -67,35 +68,27 @@ def solve_channel(z: np.ndarray, wall_flux: np.ndarray,
                   bc: ChannelBoundary) -> ChannelState:
     """Steady energy/pressure march along the heated channel.
 
-    Energy: upward march from T_in using trapezoidal wall heat input per
-    segment and local cp. Pressure: downward march from P_out with
-    Cheng-Todreas friction plus gravity (vertical upflow). HTC from
-    Dittus-Boelter at local properties.
+    Energy: the enthalpy rise is the trapezoidal wall heat input summed
+    upward from T_in, and T follows from the exact inverse of the table's
+    H(T), so the march is exact for a wall flux linear between nodes.
+    Pressure: downward march from P_out with Cheng-Todreas friction plus
+    gravity (vertical upflow). HTC from Dittus-Boelter at local properties.
     """
     z = np.asarray(z, dtype=float)
     q = np.asarray(wall_flux, dtype=float)
     if z.shape != q.shape or z.ndim != 1 or z.size < 2:
         raise DomainError("wall_flux must be defined on the channel axial nodes")
-    n = z.size
-    GA = bc.G * bc.flow_area
-    Ph = bc.heated_perimeter
-
-    T = np.empty(n)
-    T[0] = bc.T_in
-    at = 0  # node whose property lookup is under way
-    try:
-        for j in range(n - 1):
-            at = j
-            cp = water_properties(T[j]).cp
-            dq = 0.5 * (q[j] + q[j + 1]) * Ph * (z[j + 1] - z[j])
-            # Heun step on cp(T) keeps the march second order
-            at = j + 1
-            cp_star = water_properties(T[j] + dq / (GA * cp)).cp
-            T[j + 1] = T[j] + dq / (GA * 0.5 * (cp + cp_star))
-        props = water_properties(T)
-    except DomainError as e:
+    dq = 0.5 * (q[:-1] + q[1:]) * bc.heated_perimeter * np.diff(z)
+    # an inlet off the table is NaN here and fails the range test at node 0
+    H_in = water_enthalpy(bc.T_in) if WATER_T_MIN <= bc.T_in <= WATER_T_MAX else np.nan
+    H = H_in + np.concatenate([[0.0], np.cumsum(dq)]) / (bc.G * bc.flow_area)
+    off = ~((0.0 <= H) & (H <= WATER_H_MAX))
+    if off.any():
+        at = int(np.argmax(off))
         raise SolverError(f"coolant left the property table at z={z[at]:.4f} m",
-                          z=float(z[at])) from e
+                          z=float(z[at]))
+    T = water_temperature(H)
+    props = water_properties(T)
 
     Re = bc.G * bc.D_h / props.mu
     h = dittus_boelter_htc(props, bc.G, bc.D_h)

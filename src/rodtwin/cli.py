@@ -144,7 +144,7 @@ def cmd_sweep_burnup(args) -> int:
     rio.save_checkpoint(model, out / "checkpoint.json")
     rio.history_to_csv(history, out / "history.csv")
 
-    mesh = rio.dataset_mesh(ds)
+    mesh = rio.mesh_from_config(ds.config)
     summary = {}
     for case in ds.split("test"):
         rec = reconstruct_field(model, case.sensors, mesh)

@@ -1,10 +1,11 @@
 """2D axisymmetric steady heat conduction: pellet + gap link + cladding.
 
 Vertex-centred finite volumes in RZ coordinates; the temperature dependence of
-the conductivities is resolved by Picard iteration with a direct sparse solve
-per sweep. Boundaries: centerline/ends adiabatic, cladding outer surface Robin
-against the coolant (re-marched every sweep when the channel is solved too),
-pellet surface coupled to the cladding inner surface by a gap conductance.
+the conductivities is resolved by Picard iteration with a banded Cholesky
+solve per sweep. Boundaries: centerline/ends adiabatic, cladding outer surface
+Robin against the coolant (re-marched every sweep when the channel is solved
+too), pellet surface coupled to the cladding inner surface by a gap
+conductance.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.linalg as sla
+from scipy.sparse import csgraph, csr_array
 
 from .channel import ChannelState, solve_channel
 from .core import (ChannelBoundary, MaterialParams, clad_conductivity,
@@ -52,85 +53,90 @@ class TemperatureField:
         return np.concatenate([self.T_fuel.ravel(), self.T_clad.ravel()])
 
     @classmethod
-    def from_flat(cls, mesh: RodMesh, T: np.ndarray) -> "TemperatureField":
-        """Inverse of flatten: node temperatures in canonical order."""
+    def from_flat(cls, mesh: RodMesh, T: np.ndarray, **fields) -> "TemperatureField":
+        """Inverse of flatten; the other fields are passed by keyword."""
         nf = mesh.n_fuel_nodes
         return cls(mesh=mesh, T_fuel=T[:nf].reshape(mesh.nz_fuel, mesh.nr_fuel),
-                   T_clad=T[nf:].reshape(mesh.nz, mesh.nr_clad))
+                   T_clad=T[nf:].reshape(mesh.nz, mesh.nr_clad), **fields)
 
     @property
     def wall(self) -> np.ndarray:
         """Cladding outer-surface temperature per axial node."""
         return self.T_clad[:, -1]
 
-    def max_fuel_T(self) -> float:
-        return float(self.T_fuel.max())
+
+def _cv_edges(x: np.ndarray) -> np.ndarray:
+    """Control-volume bounds of a vertex-centred 1D grid (half cells at ends)."""
+    return np.concatenate([x[:1], 0.5 * (x[:-1] + x[1:]), x[-1:]])
 
 
-def _cv_widths(x: np.ndarray) -> np.ndarray:
-    """Control-volume widths of a vertex-centred 1D grid (half cells at ends)."""
-    w = np.empty_like(x)
-    w[1:-1] = 0.5 * (x[2:] - x[:-2])
-    w[0] = 0.5 * (x[1] - x[0])
-    w[-1] = 0.5 * (x[-1] - x[-2])
-    return w
+def _region_faces(r: np.ndarray, z: np.ndarray, offset: int):
+    """Node pairs and area/length factors of one region's interior faces:
+    radial faces, then axial faces. Node index = offset + j*nr + i."""
+    idx = offset + np.arange(z.size * r.size).reshape(z.size, r.size)
+    # radial: 2 pi r_face dz_cv / dr; axial: control-volume annulus / dz
+    radial = np.outer(np.diff(_cv_edges(z)), np.pi * (r[:-1] + r[1:]) / np.diff(r))
+    axial = np.outer(1.0 / np.diff(z), np.pi * np.diff(_cv_edges(r) ** 2))
+    return (np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()]),
+            np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()]),
+            np.concatenate([radial.ravel(), axial.ravel()]))
 
 
-def _radial_cv_bounds(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    r_in = np.empty_like(r)
-    r_out = np.empty_like(r)
-    r_in[0] = r[0]
-    r_in[1:] = 0.5 * (r[:-1] + r[1:])
-    r_out[:-1] = r_in[1:]
-    r_out[-1] = r[-1]
-    return r_in, r_out
+class _FaceTable:
+    """Every conductance link of one mesh and its slot in a banded matrix.
 
+    Links are (p, q, factor) triples: the fuel and cladding faces, whose
+    conductance is factor times the harmonic-mean k of p and q, then the gap
+    links, whose factor is their fixed conductance. The system matrix is
+    the weighted graph Laplacian of the links plus the Robin conductances
+    on the cladding outer nodes. It is symmetric positive definite; in the
+    reverse Cuthill-McKee order of the nodes it is banded, and it is
+    written in the upper form ``scipy.linalg.solveh_banded`` takes."""
 
-class _RegionGeom:
-    """Precomputed FV geometry for one structured region."""
+    def __init__(self, mesh: RodMesh, h_gap: float):
+        nf, n = mesh.n_fuel_nodes, mesh.n_nodes
+        pf, qf, gf = _region_faces(mesh.r_fuel, mesh.z_fuel, 0)
+        pc, qc, gc = _region_faces(mesh.r_clad, mesh.z, nf)
+        rows = np.arange(mesh.nz_fuel)
+        r_gap = 0.5 * (mesh.geom.R_fo + mesh.geom.R_ci)
+        self.n_k = pf.size + pc.size
+        self.p = np.concatenate([pf, pc, rows * mesh.nr_fuel + mesh.nr_fuel - 1])
+        self.q = np.concatenate([qf, qc, nf + (mesh.jf0 + rows) * mesh.nr_clad])
+        self.factor = np.concatenate(
+            [gf, gc, h_gap * 2.0 * np.pi * r_gap * np.diff(_cv_edges(mesh.z_fuel))])
+        self.robin = nf + np.arange(mesh.nz) * mesh.nr_clad + (mesh.nr_clad - 1)
 
-    def __init__(self, r: np.ndarray, z: np.ndarray):
-        self.r, self.z = r, z
-        self.nr, self.nz = r.size, z.size
-        self.dz_cv = _cv_widths(z)
-        self.r_in, self.r_out = _radial_cv_bounds(r)
-        self.cv_cross = np.pi * (self.r_out ** 2 - self.r_in ** 2)   # (nr,)
-        self.r_face = 0.5 * (r[:-1] + r[1:])                          # (nr-1,)
-        self.dr = np.diff(r)
-        self.dz = np.diff(z)
+        links = np.concatenate([self.p, self.q]), np.concatenate([self.q, self.p])
+        graph = csr_array((np.ones(links[0].size), links), shape=(n, n))
+        self.perm = csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
+        rank = np.empty(n, dtype=np.intp)
+        rank[self.perm] = np.arange(n)
+        lo = np.minimum(rank[self.p], rank[self.q])
+        hi = np.maximum(rank[self.p], rank[self.q])
+        self.bw = int((hi - lo).max())
+        # flat indices into the (bw + 1, n) band: a[i, j] sits at [bw + i - j, j]
+        self.link_slot = (self.bw - (hi - lo)) * n + hi
+        self.diag_slot = self.bw * n + rank
 
-
-def _harmonic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return 2.0 * a * b / (a + b)
-
-
-def _region_entries(g: _RegionGeom, k_nodes: np.ndarray, offset: int,
-                    rows, cols, vals):
-    """Append interior-face conductance entries for one region.
-
-    k_nodes has shape (nz, nr); node index = offset + j*nr + i.
-    """
-    nr, nz = g.nr, g.nz
-    idx = offset + np.arange(nz * nr).reshape(nz, nr)
-
-    # radial faces between (i, j) and (i+1, j)
-    k_face = _harmonic(k_nodes[:, :-1], k_nodes[:, 1:])               # (nz, nr-1)
-    area = 2.0 * np.pi * g.r_face[None, :] * g.dz_cv[:, None]          # (nz, nr-1)
-    cond = k_face * area / g.dr[None, :]
-    p, q = idx[:, :-1].ravel(), idx[:, 1:].ravel()
-    _push(rows, cols, vals, p, q, cond.ravel())
-
-    # axial faces between (i, j) and (i, j+1)
-    k_face = _harmonic(k_nodes[:-1, :], k_nodes[1:, :])                # (nz-1, nr)
-    cond = k_face * g.cv_cross[None, :] / g.dz[:, None]
-    p, q = idx[:-1, :].ravel(), idx[1:, :].ravel()
-    _push(rows, cols, vals, p, q, cond.ravel())
-
-
-def _push(rows, cols, vals, p, q, g):
-    rows.extend((p, q, p, q))
-    cols.extend((p, q, q, p))
-    vals.extend((g, g, -g, -g))
+    def solve(self, k: np.ndarray, g_robin: np.ndarray,
+              b: np.ndarray) -> np.ndarray:
+        """T for node conductivities k, Robin conductances and load b."""
+        n = b.size
+        kp, kq = k[self.p[:self.n_k]], k[self.q[:self.n_k]]
+        c = self.factor.copy()
+        c[:self.n_k] *= 2.0 * kp * kq / (kp + kq)
+        diag = np.bincount(self.p, c, n) + np.bincount(self.q, c, n)
+        diag[self.robin] += g_robin
+        band = np.zeros((self.bw + 1, n))
+        band.flat[self.link_slot] = -c
+        band.flat[self.diag_slot] = diag
+        try:
+            x = sla.solveh_banded(band, b[self.perm], check_finite=False)
+        except sla.LinAlgError as e:
+            raise SolverError(f"conduction system factorization failed: {e}") from e
+        T = np.empty(n)
+        T[self.perm] = x
+        return T
 
 
 def assemble_and_solve_conduction(mesh: RodMesh, m: MaterialParams,
@@ -141,74 +147,43 @@ def assemble_and_solve_conduction(mesh: RodMesh, m: MaterialParams,
     """Solve div(k grad T) + q''' = 0 over pellet and cladding.
 
     Picard-iterates the conductivity nonlinearity to max|dT| < 0.01 K
-    (<= 200 sweeps) with a direct sparse factorization per sweep. Given
+    (<= 200 sweeps) with a banded Cholesky factorization per sweep. Given
     ``channel``, each sweep then re-marches the coolant from the new wall
     heat flux, under-relaxed, so the loop is also the rod-channel fixed
     point; the field keeps the coolant of its last solve.
     """
-    geom = mesh.geom
-    gf = _RegionGeom(mesh.r_fuel, mesh.z_fuel)
-    gc = _RegionGeom(mesh.r_clad, mesh.z)
+    faces = _FaceTable(mesh, m.h_gap)
     nf = mesh.n_fuel_nodes
-    n = nf + mesh.n_clad_nodes
+    b_src = np.zeros(mesh.n_nodes)
+    b_src[:nf] = np.outer(src.qppp * np.diff(_cv_edges(mesh.z_fuel)),
+                          np.pi * np.diff(_cv_edges(mesh.r_fuel) ** 2)).ravel()
+    robin_area = 2.0 * np.pi * mesh.geom.R_co * np.diff(_cv_edges(mesh.z))
 
-    # T-independent pieces: source vector, Robin node indices, gap areas
-    b_src = np.zeros(n)
-    b_src[:nf] = (src.qppp[:, None] * gf.cv_cross[None, :] * gf.dz_cv[:, None]).ravel()
-    rob_idx = nf + np.arange(mesh.nz) * mesh.nr_clad + (mesh.nr_clad - 1)
-
-    r_gap = 0.5 * (geom.R_fo + geom.R_ci)
-    g_gap = m.h_gap * 2.0 * np.pi * r_gap * gf.dz_cv                   # (nz_fuel,)
-    gap_fuel = np.arange(mesh.nz_fuel) * mesh.nr_fuel + (mesh.nr_fuel - 1)
-    gap_clad = nf + (mesh.jf0 + np.arange(mesh.nz_fuel)) * mesh.nr_clad
-
-    T_fuel = np.full((mesh.nz_fuel, mesh.nr_fuel), coolant.interp_T(mesh.z_fuel)[:, None])
-    T_clad = np.full((mesh.nz, mesh.nr_clad), coolant.interp_T(mesh.z)[:, None])
-
+    T = np.concatenate([np.repeat(coolant.interp_T(mesh.z_fuel), mesh.nr_fuel),
+                        np.repeat(coolant.interp_T(mesh.z), mesh.nr_clad)])
     residuals = []
     for it in range(PICARD_MAX_ITER):
         # Robin conductances and right-hand side from the current coolant
         T_cool = coolant.interp_T(mesh.z)
         h_conv = coolant.interp_h(mesh.z)
-        g_rob = h_conv * 2.0 * np.pi * geom.R_co * gc.dz_cv            # (nz,)
+        g_robin = h_conv * robin_area
         b = b_src.copy()
-        b[rob_idx] += g_rob * T_cool
+        b[faces.robin] += g_robin * T_cool
 
-        kf = fuel_conductivity(T_fuel, burnup, m)
-        kc = clad_conductivity(T_clad, m)
-
-        rows, cols, vals = [], [], []
-        _region_entries(gf, kf, 0, rows, cols, vals)
-        _region_entries(gc, kc, nf, rows, cols, vals)
-        _push(rows, cols, vals, gap_fuel, gap_clad, g_gap)
-
-        rows.append(rob_idx)
-        cols.append(rob_idx)
-        vals.append(g_rob)
-
-        A = sp.coo_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(n, n)).tocsc()
-        try:
-            T_new = spla.spsolve(A, b)
-        except RuntimeError as e:  # pragma: no cover - singular only if misconfigured
-            raise SolverError(f"conduction system factorization failed: {e}") from e
+        k = np.concatenate([fuel_conductivity(T[:nf], burnup, m),
+                            clad_conductivity(T[nf:], m)])
+        T_new = faces.solve(k, g_robin, b)
         if not np.all(np.isfinite(T_new)):
             raise SolverError("conduction solve produced non-finite temperatures")
 
-        Tf_new = T_new[:nf].reshape(mesh.nz_fuel, mesh.nr_fuel)
-        Tc_new = T_new[nf:].reshape(mesh.nz, mesh.nr_clad)
-        resid = max(float(np.abs(Tf_new - T_fuel).max()),
-                    float(np.abs(Tc_new - T_clad).max()))
-        residuals.append(resid)
-        T_fuel, T_clad = Tf_new, Tc_new
-        if resid < PICARD_TOL:
-            return TemperatureField(mesh=mesh, T_fuel=T_fuel, T_clad=T_clad,
-                                    picard_iterations=it + 1,
-                                    picard_residuals=tuple(residuals),
-                                    coolant=coolant)
+        residuals.append(float(np.abs(T_new - T).max()))
+        T = T_new
+        if residuals[-1] < PICARD_TOL:
+            return TemperatureField.from_flat(
+                mesh, T, picard_iterations=it + 1,
+                picard_residuals=tuple(residuals), coolant=coolant)
         if channel is not None:
-            fresh = solve_channel(mesh.z, h_conv * (T_clad[:, -1] - T_cool), channel)
+            fresh = solve_channel(mesh.z, h_conv * (T[faces.robin] - T_cool), channel)
             coolant = replace(fresh, T_cool=COOLANT_RELAX * fresh.T_cool
                               + (1.0 - COOLANT_RELAX) * coolant.T_cool)
 

@@ -155,7 +155,7 @@ class WaterProps:
 # numbers for compressed liquid at 15.5 MPa (saturation at this pressure is
 # ~618 K; the last three rows are a smooth liquid-like continuation kept only
 # so hot-channel excursions fail gracefully instead of mid-table). Pr is
-# recomputed from mu*cp/k so the stored table is self-consistent.
+# computed from mu*cp/k so the properties are self-consistent.
 # ---------------------------------------------------------------------------
 _WATER_T = np.arange(560.0, 630.0 + 2.5, 5.0)
 _WATER_RHO = np.array([743.0, 735.0, 726.0, 717.0, 707.0, 697.0, 686.0, 675.0,
@@ -168,7 +168,6 @@ _WATER_MU = np.array([9.5e-5, 9.2e-5, 9.0e-5, 8.7e-5, 8.5e-5, 8.2e-5, 8.0e-5,
                       6.2e-5, 5.9e-5])
 _WATER_K = np.array([0.582, 0.573, 0.563, 0.553, 0.542, 0.530, 0.518, 0.506,
                      0.493, 0.479, 0.464, 0.448, 0.431, 0.413, 0.394])
-_WATER_PR = _WATER_MU * _WATER_CP / _WATER_K
 
 WATER_T_MIN = float(_WATER_T[0])
 WATER_T_MAX = float(_WATER_T[-1])
@@ -193,6 +192,38 @@ def water_properties(T) -> WaterProps:
     if not array:
         rho, cp, mu, k = float(rho), float(cp), float(mu), float(k)
     return WaterProps(rho=rho, cp=cp, mu=mu, k=k, Pr=mu * cp / k)
+
+
+# cp is linear between the table nodes, so the enthalpy H(T) = int cp dT
+# from WATER_T_MIN is quadratic between them; these are its node values.
+_WATER_CP_SLOPE = np.diff(_WATER_CP) / np.diff(_WATER_T)
+_WATER_H = np.append(0.0, np.cumsum(0.5 * (_WATER_CP[:-1] + _WATER_CP[1:])
+                                     * np.diff(_WATER_T)))
+WATER_H_MAX = float(_WATER_H[-1])
+
+
+def water_enthalpy(T) -> np.ndarray:
+    """Specific enthalpy above WATER_T_MIN [J/kg], exact for the table's
+    piecewise-linear cp. DomainError outside [560, 630] K."""
+    T = np.asarray(T, dtype=float)
+    if not np.all((WATER_T_MIN <= T) & (T <= WATER_T_MAX)):
+        raise DomainError(f"water table covers {WATER_T_MIN}-{WATER_T_MAX} K")
+    j = np.minimum(np.searchsorted(_WATER_T, T, side="right") - 1, _WATER_T.size - 2)
+    t = T - _WATER_T[j]
+    return _WATER_H[j] + t * (_WATER_CP[j] + 0.5 * _WATER_CP_SLOPE[j] * t)
+
+
+def water_temperature(H) -> np.ndarray:
+    """Inverse of water_enthalpy. DomainError outside [0, WATER_H_MAX]."""
+    H = np.asarray(H, dtype=float)
+    if not np.all((0.0 <= H) & (H <= WATER_H_MAX)):
+        raise DomainError(f"water table covers enthalpies 0-{WATER_H_MAX} J/kg")
+    j = np.minimum(np.searchsorted(_WATER_H, H, side="right") - 1, _WATER_H.size - 2)
+    dH, cp = H - _WATER_H[j], _WATER_CP[j]
+    # the root of dH = t * (cp + slope * t / 2) that cancels nothing
+    t = 2.0 * dH / (cp + np.sqrt(cp * cp + 2.0 * _WATER_CP_SLOPE[j] * dH))
+    # rounding must not carry T past the interval's upper node
+    return np.minimum(_WATER_T[j] + t, _WATER_T[j + 1])
 
 
 def linear_heat_rate(z, src: HeatSource, geom: RodGeometry):

@@ -198,10 +198,6 @@ def mesh_from_config(cfg: TwinConfig) -> RodMesh:
                           cfg.mesh.nr_clad)
 
 
-def dataset_mesh(ds: Dataset) -> RodMesh:
-    return mesh_from_config(ds.config)
-
-
 # ---------------------------------------------------------------------------
 # model checkpoints and training history
 # ---------------------------------------------------------------------------

@@ -395,10 +395,17 @@ def reconstruct_field(model: KhModel, sensors: SensorSet,
                       mesh: RodMesh) -> TemperatureField:
     """Evaluate the forward pipeline at every mesh node and denormalize.
 
-    Rejects sensor temperatures that are not finite or normalize beyond 3,
-    and a non-finite dhat. The kernels come from model.layout_kernels, so
-    consecutive calls with one mesh and sensor layout run the dense stacks
-    once."""
+    Rejects sensor arrays of unequal length, sensor temperatures that are
+    not finite or normalize beyond 3, and a non-finite dhat, z, r or w. The
+    kernels come from model.layout_kernels, so consecutive calls with one
+    mesh and sensor layout run the dense stacks once."""
+    shapes = {np.shape(a) for a in (sensors.z, sensors.r, sensors.T,
+                                    sensors.dhat, sensors.w)}
+    if len(shapes) != 1 or len(shapes.pop()) != 1:
+        raise ConfigurationError("sensor z, r, T, dhat and w must be 1-D "
+                                 "arrays of one length")
+    if not np.all(np.isfinite(np.concatenate([sensors.z, sensors.r, sensors.w]))):
+        raise ConfigurationError("non-finite sensor z, r or w")
     u_n = model.norm.norm_T(sensors.T)
     if not np.all(np.abs(u_n) <= 3.0):
         raise ConfigurationError(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,26 +97,21 @@ class RodMesh:
     def n_nodes(self) -> int:
         return self.n_fuel_nodes + self.n_clad_nodes
 
-    def node_table(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
-        """Flattened (r, z, region) for every node in canonical order."""
+    def node_table(self) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+        """Flattened (r, z, region) for every node in canonical order.
+
+        Built on the first call and shared by every later one, so r and z
+        are read-only and region is a tuple."""
+        return self._node_table
+
+    @cached_property
+    def _node_table(self):
         rf, zf = np.meshgrid(self.r_fuel, self.z_fuel)   # axial-major
         rc, zc = np.meshgrid(self.r_clad, self.z)
         r = np.concatenate([rf.ravel(), rc.ravel()])
         z = np.concatenate([zf.ravel(), zc.ravel()])
-        region = [FUEL] * self.n_fuel_nodes + [CLAD] * self.n_clad_nodes
-        return r, z, region
-
-    def boundary_edge_counts(self, region: str) -> dict[str, int]:
-        """Number of boundary edges (node intervals) per tagged side."""
-        if region == FUEL:
-            nrad, nax = self.nr_fuel - 1, self.nz_fuel - 1
-            return {"centerline": nax, "fuel-outer": nax,
-                    "bottom": nrad, "top": nrad}
-        if region == CLAD:
-            nrad, nax = self.nr_clad - 1, self.nz - 1
-            return {"clad-inner": nax, "clad-outer": nax,
-                    "bottom": nrad, "top": nrad}
-        raise ConfigurationError(f"unknown region {region!r}")
+        r.flags.writeable = z.flags.writeable = False
+        return r, z, (FUEL,) * self.n_fuel_nodes + (CLAD,) * self.n_clad_nodes
 
 
 def build_rod_mesh(geom: RodGeometry, nr_fuel: int = 11, nz: int = 100,

@@ -139,6 +139,25 @@ class TestSolveChannel:
         power = integrated_rod_power(src, GEOM)
         assert BC.G * BC.flow_area * dh == pytest.approx(power, rel=5e-3)
 
+    @pytest.mark.parametrize("q0", [10e3, 36e3])
+    def test_matches_ode_reference(self, q0):
+        # G A cp(T) dT/dz = q(z) P_h, q linear between the nodes, integrated
+        # to a tolerance far below the one asserted
+        from scipy.integrate import solve_ivp
+        z = np.linspace(0.0, GEOM.L_fr, 100)
+        q = linear_heat_rate(z, HeatSource(q0=q0), GEOM) / BC.heated_perimeter
+        GA = BC.G * BC.flow_area
+
+        def rhs(x, T):
+            flux = np.interp(x, z, q) * BC.heated_perimeter
+            return [flux / (GA * water_properties(float(T[0])).cp)]
+
+        ref = solve_ivp(rhs, (z[0], z[-1]), [BC.T_in], t_eval=z, method="DOP853",
+                        rtol=1e-11, atol=1e-9, max_step=z[1] - z[0])
+        assert ref.success
+        np.testing.assert_allclose(solve_channel(z, q, BC).T_cool, ref.y[0],
+                                   rtol=0.0, atol=1e-5)
+
     def test_refinement_order_at_least_one(self):
         # smooth full-length sine flux; the rod profile itself is
         # discontinuous at the fuel ends, which would mask the march order
@@ -179,8 +198,8 @@ class TestSolveChannel:
 
     @pytest.mark.parametrize("n, flux, node", [(50, 3e6, 17), (30, 2e7, 2)])
     def test_table_exit_names_the_node(self, n, flux, node):
-        # the Heun predictor leaves the table on its way to this node, so
-        # the error names it rather than the node the step started from
+        # the error names the first node whose enthalpy lies past the
+        # table's top, not the last node still on it
         z = np.linspace(0.0, GEOM.L_fr, n)
         with pytest.raises(SolverError) as exc:
             solve_channel(z, np.full_like(z, flux), BC)

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rodtwin.core import (ChannelBoundary, HeatSource, MaterialParams,
-                          RodGeometry, WATER_T_MAX, WATER_T_MIN,
+                          RodGeometry, WATER_H_MAX, WATER_T_MAX, WATER_T_MIN,
                           clad_conductivity, fuel_conductivity,
                           integrated_rod_power, linear_heat_rate,
-                          water_properties)
+                          water_enthalpy, water_properties, water_temperature)
 from rodtwin.errors import ConfigurationError, DomainError
 from rodtwin.mesh import CLAD, FUEL, build_rod_mesh
 
@@ -206,6 +206,27 @@ class TestWaterProperties:
             assert min(va, vb) - 1e-12 <= vw <= max(va, vb) + 1e-12
 
 
+class TestWaterEnthalpy:
+    @given(T=st.floats(WATER_T_MIN, WATER_T_MAX))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, T):
+        assert float(water_temperature(water_enthalpy(T))) == pytest.approx(
+            T, abs=1e-9)
+
+    def test_slope_is_table_cp(self):
+        T = np.linspace(WATER_T_MIN + 0.01, WATER_T_MAX - 0.01, 41)
+        dHdT = (water_enthalpy(T + 1e-4) - water_enthalpy(T - 1e-4)) / 2e-4
+        np.testing.assert_allclose(dHdT, water_properties(T).cp, rtol=1e-7)
+
+    def test_outside_table_raises(self):
+        for T in (WATER_T_MIN - 1e-9, WATER_T_MAX + 1.0, np.nan):
+            with pytest.raises(DomainError):
+                water_enthalpy(np.array([580.0, T]))
+        for H in (-1e-6, WATER_H_MAX + 1e-6, np.nan):
+            with pytest.raises(DomainError):
+                water_temperature(np.array([1e4, H]))
+
+
 class TestMesh:
     def test_fuel_radial_span(self):
         mesh = build_rod_mesh(GEOM, nr_fuel=11, nz=100, nr_clad=4)
@@ -226,20 +247,25 @@ class TestMesh:
         assert mesh.z[0] == 0.0
         assert mesh.z[-1] == pytest.approx(GEOM.L_fr)
 
-    def test_boundary_edge_counts_close_each_region(self):
-        mesh = build_rod_mesh(GEOM, nr_fuel=6, nz=30, nr_clad=3)
-        for region in (FUEL, CLAD):
-            counts = mesh.boundary_edge_counts(region)
-            nr = mesh.nr_fuel if region == FUEL else mesh.nr_clad
-            nax = mesh.nz_fuel if region == FUEL else mesh.nz
-            assert sum(counts.values()) == 2 * (nr - 1) + 2 * (nax - 1)
-
     def test_node_table_counts(self):
         mesh = build_rod_mesh(GEOM, nr_fuel=4, nz=12, nr_clad=2)
         r, z, region = mesh.node_table()
         assert r.size == z.size == len(region) == mesh.n_nodes
         assert region.count(FUEL) == mesh.n_fuel_nodes
         assert region.count(CLAD) == mesh.n_clad_nodes
+
+    def test_node_table_is_shared_and_read_only(self):
+        mesh = build_rod_mesh(GEOM, nr_fuel=4, nz=12, nr_clad=2)
+        r, z, region = mesh.node_table()
+        r2, z2, region2 = mesh.node_table()
+        np.testing.assert_array_equal(r2, r)
+        np.testing.assert_array_equal(z2, z)
+        assert region2 == region
+        for arr in (r, z):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        with pytest.raises(TypeError):
+            region[0] = CLAD
 
     def test_too_small_counts_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -389,12 +389,13 @@ class TestTraining:
     # train_mse / val_mse of this run (numpy 2.4.6, OpenBLAS 0.3.31). The
     # flat parameter vector reproduced the per-array implementation bit for
     # bit; the values were re-recorded, with the training code unchanged,
-    # when the coupled solver became one Picard loop and so changed the
-    # ground truth of dataset_tiny
-    REFERENCE_TRAIN_MSE = (0.33260015718706504, 0.18457275229599268,
-                           0.14328916730808708)
-    REFERENCE_VAL_MSE = (0.18764896677234477, 0.05038444608267732,
-                         0.0776392277298963)
+    # when the coupled solver became one Picard loop, and again when the
+    # coolant march became exact in enthalpy, each time because the ground
+    # truth of dataset_tiny changed
+    REFERENCE_TRAIN_MSE = (0.3325896597816329, 0.18456807389234592,
+                           0.14328759848162564)
+    REFERENCE_VAL_MSE = (0.18764138471959474, 0.05037509644649217,
+                         0.07763473964781231)
 
     def test_matches_per_array_reference(self, dataset_tiny):
         _, hist = train(dataset_tiny, TrainSettings(epochs=3, fixed_lr=1e-3,
@@ -468,14 +469,24 @@ class TestReconstruction:
         with pytest.raises(ConfigurationError):
             reconstruct_field(model, bad, mesh)
         # a dead thermocouple reads nan or inf; the |u| > 3 test alone
-        # lets a nan through
-        for name in ("T", "dhat"):
+        # lets a nan through, and a non-finite position or weight gives an
+        # all-nan field
+        for name in ("T", "dhat", "z", "r", "w"):
             for value in (np.nan, np.inf, -np.inf):
                 arr = getattr(c.sensors, name).copy()
                 arr[1] = value
                 with pytest.raises(ConfigurationError, match="non-finite"):
                     reconstruct_field(model, replace(c.sensors, **{name: arr}),
                                       mesh)
+
+    @pytest.mark.parametrize("name", ["z", "r", "T", "dhat", "w"])
+    def test_unequal_sensor_lengths_rejected(self, dataset_tiny, cfg_tiny,
+                                             name):
+        model, _ = train(dataset_tiny, TrainSettings(epochs=1, fixed_lr=1e-3))
+        c = dataset_tiny.cases[0]
+        short = replace(c.sensors, **{name: getattr(c.sensors, name)[:-1]})
+        with pytest.raises(ConfigurationError, match="one length"):
+            reconstruct_field(model, short, mesh_from_config(cfg_tiny))
 
 
 def _cold(model):

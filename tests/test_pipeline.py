@@ -211,4 +211,4 @@ class TestBurnupSweep:
             CaseSpec(case_id="h", q0=20e3, burnup=50.0, split="test"), cfg_tiny)
         cold = couple_rod_channel(
             CaseSpec(case_id="c", q0=20e3, burnup=0.0, split="test"), cfg_tiny)
-        assert hot.field.max_fuel_T() > cold.field.max_fuel_T()
+        assert hot.field.T_fuel.max() > cold.field.T_fuel.max()
