@@ -14,16 +14,14 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import io as rio
 from .config import TwinConfig, load_config
 from .errors import (ConfigurationError, DomainError, RodtwinError,
                      SolverError, TrainingError)
 from .khnet import reconstruct_field, train
 from .metrics import compute_metrics
-from .pipeline import (CaseSpec, burnup_sweep, couple_rod_channel,
-                       extract_sensors, generate_dataset, roster_specs)
+from .pipeline import (CaseSpec, burnup_sweep, generate_dataset, roster_specs,
+                       run_case)
 from .thermomech import hoop_strain_summary, stress_field
 
 EXIT_OK = 0
@@ -49,13 +47,10 @@ def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args)
     spec = CaseSpec(case_id="case", q0=cfg.q0, burnup=cfg.burnup, split="test")
-    sol = couple_rod_channel(spec, cfg)
-    sensors = extract_sensors(
-        sol, np.asarray(cfg.sensors.z_fracs) * cfg.geometry.L_fr,
-        cfg.sensors.eta, cfg.sensors.tinf_policy)
-    rio.field_to_csv(sol.field, out / "field.csv")
-    rio.channel_to_csv(sol.channel, out / "channel.csv")
-    rio.sensors_to_csv(sensors, out / "sensors.csv")
+    case = run_case(spec, cfg)
+    rio.field_to_csv(case.solution.field, out / "field.csv")
+    rio.channel_to_csv(case.solution.channel, out / "channel.csv")
+    rio.sensors_to_csv(case.sensors, out / "sensors.csv")
     print(f"simulated q0={cfg.q0} W/m, burnup={cfg.burnup} MWd/kgU -> {out}")
     return EXIT_OK
 

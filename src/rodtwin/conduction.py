@@ -11,6 +11,7 @@ conductance.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -139,6 +140,9 @@ class _FaceTable:
         return T
 
 
+_face_table = lru_cache(maxsize=16)(_FaceTable)  # one per (mesh, h_gap)
+
+
 def assemble_and_solve_conduction(mesh: RodMesh, m: MaterialParams,
                                   src: VolumetricSource, coolant: ChannelState,
                                   burnup: float = 0.0,
@@ -152,7 +156,7 @@ def assemble_and_solve_conduction(mesh: RodMesh, m: MaterialParams,
     heat flux, under-relaxed, so the loop is also the rod-channel fixed
     point; the field keeps the coolant of its last solve.
     """
-    faces = _FaceTable(mesh, m.h_gap)
+    faces = _face_table(mesh, m.h_gap)
     nf = mesh.n_fuel_nodes
     b_src = np.zeros(mesh.n_nodes)
     b_src[:nf] = np.outer(src.qppp * np.diff(_cv_edges(mesh.z_fuel)),

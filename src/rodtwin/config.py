@@ -82,6 +82,11 @@ class TwinConfig:
     dedupe_validation: bool = False  # drop validation q0 values that repeat a training one
     sweep_q0_range: tuple = (12e3, 30e3)  # q0 sampling range for burnup sweeps [W/m]
 
+    def __post_init__(self):  # one surface for conduction and the channel
+        if self.channel.R_co != self.geometry.R_co:
+            raise ConfigurationError(f"channel R_co={self.channel.R_co} differs "
+                                     f"from geometry R_co={self.geometry.R_co}")
+
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
         return _tuples_to_lists(d)

@@ -15,10 +15,10 @@ import numpy as np
 
 from .channel import ChannelState
 from .conduction import TemperatureField
-from .config import TwinConfig, config_from_dict
+from .config import config_from_dict
 from .errors import ConfigurationError
 from .khnet import LAYER_SIZES, KhModel, TrainHistory
-from .mesh import RodMesh, build_rod_mesh
+from .mesh import RodMesh, mesh_from_config
 from .pipeline import (CaseResult, CaseSpec, Dataset, NormConstants, SensorSet)
 
 
@@ -78,12 +78,9 @@ def _floats(path, cols, name) -> np.ndarray:
 # temperature fields
 # ---------------------------------------------------------------------------
 
-def _field_rows_to_csv(path, r, z, region, T) -> None:
-    _write_csv(path, ["r", "z", "region", "T"], [r, z, region, T])
-
-
 def field_to_csv(field: TemperatureField, path) -> None:
-    _field_rows_to_csv(path, *field.mesh.node_table(), field.flatten())
+    _write_csv(path, ["r", "z", "region", "T"],
+               [*field.mesh.node_table(), field.flatten()])
 
 
 def field_arrays_from_csv(path):
@@ -149,11 +146,12 @@ def save_dataset(ds: Dataset, outdir) -> None:
         "config_hash": ds.config.config_hash(),
         "config": ds.config.to_dict(),
     }
+    mesh = mesh_from_config(ds.config)
     for c in ds.cases:
         d = outdir / "cases" / c.spec.case_id
         d.mkdir(parents=True, exist_ok=True)
-        # from the case's own arrays: a loaded dataset has no solution
-        _field_rows_to_csv(d / "field.csv", c.r, c.z, c.region, c.T)
+        # from c.T, not c.solution: a loaded dataset has no solution
+        field_to_csv(TemperatureField.from_flat(mesh, c.T), d / "field.csv")
         if c.solution is not None:
             channel_to_csv(c.solution.channel, d / "channel.csv")
         sensors_to_csv(c.sensors, d / "sensors.csv")
@@ -164,14 +162,17 @@ def save_dataset(ds: Dataset, outdir) -> None:
 def load_dataset(outdir) -> Dataset:
     """Rebuild a Dataset from disk (coupled solutions are not reloaded).
 
+    Every case gets the shared node table of the manifest config's mesh.
     Raises ConfigurationError on bad manifest JSON or a missing manifest key
-    (named in the message), and on a case CSV without a required column."""
+    (named in the message), on a case CSV without a required column, and on
+    a field.csv whose nodes are not that mesh's nodes in mesh order."""
     outdir = Path(outdir)
     path = outdir / "manifest.json"
     try:
         with open(path) as f:
             manifest = json.load(f)
         cfg = config_from_dict(manifest["config"])
+        mesh = mesh_from_config(cfg)
         norm = NormConstants(**manifest["normalization"])
         specs = [CaseSpec(case_id=cid, q0=manifest["cases"][cid]["q0"],
                           burnup=manifest["cases"][cid]["burnup"], split=split)
@@ -183,19 +184,15 @@ def load_dataset(outdir) -> Dataset:
         # ValueError covers bad JSON
         raise ConfigurationError(
             f"malformed manifest {path}: {type(e).__name__}: {e}") from e
+    r, z, region = mesh.node_table()
     cases = []
     for spec in specs:
         d = outdir / "cases" / spec.case_id
-        r, z, region, T = field_arrays_from_csv(d / "field.csv")
+        T = field_from_csv(d / "field.csv", mesh).flatten()
         sensors = sensors_from_csv(d / "sensors.csv")
         cases.append(CaseResult(spec=spec, solution=None, sensors=sensors,
                                 r=r, z=z, region=region, T=T))
     return Dataset(cases=cases, norm=norm, config=cfg, seed=seed)
-
-
-def mesh_from_config(cfg: TwinConfig) -> RodMesh:
-    return build_rod_mesh(cfg.geometry, cfg.mesh.nr_fuel, cfg.mesh.nz,
-                          cfg.mesh.nr_clad)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .config import TwinConfig
 from .core import RodGeometry
 from .errors import ConfigurationError
 
@@ -52,11 +53,12 @@ def _axial_nodes(geom: RodGeometry, nz: int) -> tuple[np.ndarray, int, int]:
     return z, jf0, jf1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RodMesh:
     """Structured node lattice: fuel disk [0, R_fo] x fuel span, cladding
     annulus [R_ci, R_co] x full rod. Node ordering for flattened exports is
-    fuel first, axial-major, radial-minor, then cladding."""
+    fuel first, axial-major, radial-minor, then cladding. Compared and
+    hashed by identity, so per-mesh tables can be cached."""
 
     geom: RodGeometry
     r_fuel: np.ndarray   # (nr_fuel,) strictly increasing, starts at 0
@@ -114,9 +116,10 @@ class RodMesh:
         return r, z, (FUEL,) * self.n_fuel_nodes + (CLAD,) * self.n_clad_nodes
 
 
+@lru_cache(maxsize=16)
 def build_rod_mesh(geom: RodGeometry, nr_fuel: int = 11, nz: int = 100,
                    nr_clad: int = 4) -> RodMesh:
-    """Uniform-per-region node lattice (defaults mirror the reference resolution)."""
+    """Memoized uniform-per-region node lattice (defaults: reference resolution)."""
     if nr_fuel < 3:
         raise ConfigurationError(f"nr_fuel must be >= 3, got {nr_fuel}")
     if nr_clad < 2:
@@ -126,4 +129,11 @@ def build_rod_mesh(geom: RodGeometry, nr_fuel: int = 11, nz: int = 100,
     r_fuel = np.linspace(0.0, geom.R_fo, nr_fuel)
     r_clad = np.linspace(geom.R_ci, geom.R_co, nr_clad)
     z, jf0, jf1 = _axial_nodes(geom, nz)
+    r_fuel.flags.writeable = r_clad.flags.writeable = z.flags.writeable = False
     return RodMesh(geom=geom, r_fuel=r_fuel, r_clad=r_clad, z=z, jf0=jf0, jf1=jf1)
+
+
+def mesh_from_config(cfg: TwinConfig) -> RodMesh:
+    """The one mesh of every case, field file and solve of a config."""
+    return build_rod_mesh(cfg.geometry, cfg.mesh.nr_fuel, cfg.mesh.nz,
+                          cfg.mesh.nr_clad)

@@ -13,7 +13,7 @@ from .conduction import (TemperatureField, VolumetricSource,
 from .config import TwinConfig
 from .core import HeatSource
 from .errors import ConfigurationError, DomainError, SolverError
-from .mesh import build_rod_mesh
+from .mesh import mesh_from_config
 
 SPLITS = ("train", "validate", "test")
 
@@ -119,10 +119,9 @@ def couple_rod_channel(spec: CaseSpec, cfg: TwinConfig) -> CoupledSolution:
     See ``assemble_and_solve_conduction``; ``iterations``, ``residual`` and
     ``residual_trace`` are that loop's (max |dT| over the field < 0.01 K).
     """
-    geom, bc = cfg.geometry, cfg.channel
-    mesh = build_rod_mesh(geom, cfg.mesh.nr_fuel, cfg.mesh.nz, cfg.mesh.nr_clad)
+    mesh, bc = mesh_from_config(cfg), cfg.channel
     src = HeatSource(q0=spec.q0, delta_e=cfg.delta_e)
-    vs = VolumetricSource.from_heat_source(src, geom, mesh)
+    vs = VolumetricSource.from_heat_source(src, cfg.geometry, mesh)
     field = assemble_and_solve_conduction(mesh, cfg.materials, vs,
                                           uniform_channel_state(mesh.z, bc),
                                           spec.burnup, channel=bc)
@@ -164,7 +163,8 @@ def extract_sensors(solution: CoupledSolution, z_locations, eta: float,
     return SensorSet(z=zs, r=r, T=T, T_inf=T_inf, dhat=dhat, w=w, eta=eta)
 
 
-def _run_case(spec: CaseSpec, cfg: TwinConfig) -> CaseResult:
+def run_case(spec: CaseSpec, cfg: TwinConfig) -> CaseResult:
+    """One coupled case and its sensor readings at the config's layout."""
     try:
         sol = couple_rod_channel(spec, cfg)
     except SolverError as e:
@@ -179,15 +179,14 @@ def _run_case(spec: CaseSpec, cfg: TwinConfig) -> CaseResult:
 
 def _normalization(cases: list, cfg: TwinConfig) -> NormConstants:
     train = [c for c in cases if c.spec.split == "train"] or cases
-    r100 = np.concatenate([100.0 * c.r for c in train])
-    z = np.concatenate([c.z for c in train])
+    r, z, _ = mesh_from_config(cfg).node_table()  # every case's nodes
     T = np.concatenate([c.T for c in train])
 
     def center_scale(x, floor=1e-9):
         lo, hi = float(x.min()), float(x.max())
         return 0.5 * (lo + hi), max(0.5 * (hi - lo), floor)
 
-    rc, rs = center_scale(r100)
+    rc, rs = center_scale(100.0 * r)
     zc, zs = center_scale(z)
     tc, ts = center_scale(T, floor=MIN_T_SCALE)
     return NormConstants(r_center=rc, r_scale=rs, z_center=zc, z_scale=zs,
@@ -218,7 +217,7 @@ def generate_dataset(specs: list[CaseSpec], cfg: TwinConfig,
     ids = [s.case_id for s in specs]
     if len(set(ids)) != len(ids):
         raise ConfigurationError("duplicate case ids in roster")
-    cases = [_run_case(s, cfg) for s in sorted(specs, key=lambda s: s.case_id)]
+    cases = [run_case(s, cfg) for s in sorted(specs, key=lambda s: s.case_id)]
     return Dataset(cases=cases, norm=_normalization(cases, cfg), config=cfg,
                    seed=seed)
 

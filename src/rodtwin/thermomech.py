@@ -54,17 +54,6 @@ class StressField:
     clad_sigma_z: np.ndarray
 
 
-def thermal_expansion_strain(field: TemperatureField, m: MaterialParams
-                             ) -> tuple[np.ndarray, np.ndarray]:
-    """Hoop thermal-expansion strain fields (fuel isotropic, cladding alpha_theta)."""
-    floor = m.T_ref - 50.0
-    if field.T_fuel.min() < floor or field.T_clad.min() < floor:
-        raise DomainError(f"temperature below T_ref - 50 K = {floor} K")
-    eps_fuel = m.alpha_fuel * (field.T_fuel - m.T_ref)
-    eps_clad = m.alpha_theta * (field.T_clad - m.T_ref)
-    return eps_fuel, eps_clad
-
-
 def lame_thermoelastic_slice(r: np.ndarray, T: np.ndarray, P_in: float,
                              P_out: float, E: float, nu: float,
                              alpha: float) -> SliceStress:

@@ -1,6 +1,7 @@
 """Shared fixtures: coarse configs and cached coupled solutions.
 
-Session scope keeps the expensive sparse solves to one per run.
+Session scope solves each fixture's coupled cases (banded Cholesky solves
+and channel marches) once per run.
 """
 
 import numpy as np

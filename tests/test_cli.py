@@ -346,6 +346,39 @@ class TestExitCodes:
         err = _assert_config_error(capsys, rc)
         assert f"'{key}'" in err["message"]
 
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows[:1] + [[row[0], repr(float(row[1]) + 0.5)] + row[2:]
+                                 for row in rows[1:]],       # nodes moved 0.5 m
+        lambda rows: rows[:1] + [rows[2], rows[1]] + rows[3:],  # two swapped
+    ], ids=["moved", "swapped"])
+    def test_train_rejects_field_off_the_config_mesh(self, tiny_model, tmp_path,
+                                                     capsys, edit):
+        ds = tmp_path / "ds"
+        shutil.copytree(tiny_model / "ds", ds)
+        field = sorted((ds / "cases").glob("*/field.csv"))[-1]
+        _rewrite_csv(field, field, edit)
+        capsys.readouterr()
+        rc = main(["train", "--dataset", str(ds), "--epochs", "1",
+                   "--out-dir", str(tmp_path / "model")])
+        assert rc == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["type"] == "ConfigurationError"
+        assert str(field) in err["message"]
+        assert not (tmp_path / "model" / "checkpoint.json").exists()
+
+    def test_simulate_rejects_channel_radius_off_the_rod(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"geometry": {"R_co": 0.0049}}))
+        rc = main(["simulate", "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "sim")])
+        assert rc == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "R_co" in json.loads(lines[0])["message"]
+        assert not (tmp_path / "sim" / "field.csv").exists()
+
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["train", "--dataset", str(tmp_path / "nope"),
                    "--out-dir", str(tmp_path / "o")])

@@ -83,6 +83,19 @@ class TestValidation:
         assert cfg.sensors.eta == 2.0
         assert cfg.sensors.tinf_policy == "inlet"
 
+    @pytest.mark.parametrize("data", [
+        {"geometry": {"R_co": 0.0049}},
+        {"channel": {"R_co": 0.0049}},
+    ], ids=["geometry", "channel"])
+    def test_channel_radius_must_match_the_rod(self, data):
+        with pytest.raises(ConfigurationError, match="R_co"):
+            config_from_dict(data)
+
+    def test_equal_radii_accepted(self):
+        cfg = config_from_dict({"geometry": {"R_co": 0.0049},
+                                "channel": {"R_co": 0.0049}})
+        assert cfg.channel.R_co == cfg.geometry.R_co == 0.0049
+
     def test_to_dict_is_json_serializable(self):
         json.dumps(TwinConfig().to_dict())
 

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rodtwin.config import MeshConfig, TwinConfig
 from rodtwin.core import (ChannelBoundary, HeatSource, MaterialParams,
                           RodGeometry, WATER_H_MAX, WATER_T_MAX, WATER_T_MIN,
                           clad_conductivity, fuel_conductivity,
                           integrated_rod_power, linear_heat_rate,
                           water_enthalpy, water_properties, water_temperature)
 from rodtwin.errors import ConfigurationError, DomainError
-from rodtwin.mesh import CLAD, FUEL, build_rod_mesh
+from rodtwin.mesh import CLAD, FUEL, RodMesh, build_rod_mesh, mesh_from_config
 
 GEOM = RodGeometry()
 MAT = MaterialParams()
@@ -266,6 +267,28 @@ class TestMesh:
                 arr[0] = 1.0
         with pytest.raises(TypeError):
             region[0] = CLAD
+
+    def test_coordinates_are_read_only(self):
+        mesh = mesh_from_config(TwinConfig())
+        for arr in (mesh.r_fuel, mesh.r_clad, mesh.z, mesh.z_fuel):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_equal_configs_share_one_mesh(self):
+        coarse = MeshConfig(nr_fuel=6, nr_clad=3, nz=40)
+        mesh = mesh_from_config(TwinConfig(mesh=coarse))
+        # differs only outside the geometry and mesh sections
+        assert mesh_from_config(TwinConfig(mesh=MeshConfig(6, 3, 40),
+                                           q0=30e3, burnup=12.0)) is mesh
+        assert mesh_from_config(TwinConfig()) is not mesh
+
+    def test_meshes_compare_by_identity(self):
+        mesh = build_rod_mesh(GEOM, nr_fuel=4, nz=12, nr_clad=2)
+        twin = RodMesh(geom=GEOM, r_fuel=mesh.r_fuel.copy(),
+                       r_clad=mesh.r_clad.copy(), z=mesh.z.copy(),
+                       jf0=mesh.jf0, jf1=mesh.jf1)
+        assert mesh == mesh and mesh != twin
+        assert len({mesh, twin, mesh}) == 2
 
     def test_too_small_counts_rejected(self):
         with pytest.raises(ConfigurationError):

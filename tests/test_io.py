@@ -196,12 +196,45 @@ class TestDatasetDirectory:
         with pytest.raises(ConfigurationError):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("nz", ["12", {"rows": 12}, 5],
+                             ids=["string", "mapping", "too-few"])
+    def test_manifest_mesh_that_builds_no_mesh_rejected(self, dataset_tiny,
+                                                        tmp_path, nz):
+        save_dataset(dataset_tiny, tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["mesh"]["nz"] = nz
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigurationError, match="nz|manifest"):
+            load_dataset(tmp_path)
+
     def test_case_csv_without_column_rejected(self, dataset_tiny, tmp_path):
         save_dataset(dataset_tiny, tmp_path)
         path = tmp_path / "cases" / dataset_tiny.cases[0].spec.case_id / "sensors.csv"
         _rewrite_csv(path, lambda rows: _drop_column(rows, "dhat"))
         with pytest.raises(ConfigurationError, match="dhat"):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows[:1] + [[row[0], repr(float(row[1]) + 0.5)] + row[2:]
+                                 for row in rows[1:]],       # nodes moved 0.5 m
+        lambda rows: rows[:1] + [rows[2], rows[1]] + rows[3:],  # two swapped
+    ], ids=["moved", "swapped"])
+    def test_field_off_the_config_mesh_rejected(self, dataset_tiny, tmp_path,
+                                                edit):
+        save_dataset(dataset_tiny, tmp_path)
+        path = tmp_path / "cases" / dataset_tiny.cases[1].spec.case_id / "field.csv"
+        _rewrite_csv(path, edit)
+        with pytest.raises(ConfigurationError, match="mesh order") as exc:
+            load_dataset(tmp_path)
+        assert str(path) in str(exc.value)
+
+    def test_loaded_cases_share_the_mesh_node_table(self, dataset_tiny,
+                                                    tmp_path):
+        save_dataset(dataset_tiny, tmp_path)
+        r, z, region = mesh_from_config(dataset_tiny.config).node_table()
+        for c in load_dataset(tmp_path).cases:
+            assert c.r is r and c.z is z and c.region is region
 
     def test_repeated_save_is_byte_identical(self, dataset_tiny, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -184,6 +184,34 @@ class TestDataset:
             dataset_tiny.split("holdout")
 
 
+class TestSharedMesh:
+    def test_every_case_shares_the_config_mesh(self, dataset_tiny, cfg_tiny):
+        from rodtwin.mesh import mesh_from_config
+        mesh = mesh_from_config(cfg_tiny)
+        r, z, region = mesh.node_table()
+        for c in dataset_tiny.cases:
+            assert c.solution.field.mesh is mesh
+            assert c.r is r and c.z is z and c.region is region
+
+    def test_couplings_of_one_config_share_the_mesh(self, cfg_tiny):
+        spec = CaseSpec(case_id="a", q0=20e3, burnup=0.0, split="test")
+        a = couple_rod_channel(spec, cfg_tiny)
+        b = couple_rod_channel(spec, TwinConfig(mesh=MeshConfig(4, 2, 12)))
+        assert a.field.mesh is b.field.mesh
+
+    def test_sweep_builds_one_face_table(self, monkeypatch):
+        from scipy.sparse import csgraph
+        rcm = csgraph.reverse_cuthill_mckee
+        calls = []
+        monkeypatch.setattr(csgraph, "reverse_cuthill_mckee",
+                            lambda *a, **k: calls.append(1) or rcm(*a, **k))
+        conduction._face_table.cache_clear()
+        cfg = TwinConfig(mesh=MeshConfig(nr_fuel=4, nr_clad=2, nz=12))
+        ds = burnup_sweep(10, (2.4, 59.7), 7, cfg)
+        assert len(ds.cases) == 10
+        assert len(calls) == 1
+
+
 class TestBurnupSweep:
     def test_split_proportions(self, cfg_tiny):
         ds = burnup_sweep(10, (2.4, 59.7), 7, cfg_tiny)

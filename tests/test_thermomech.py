@@ -2,16 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rodtwin.conduction import TemperatureField
 from rodtwin.core import MaterialParams, RodGeometry
 from rodtwin.errors import ConfigurationError, DomainError
 from rodtwin.mesh import build_rod_mesh
 from rodtwin.thermomech import (hoop_strain_summary, lame_thermoelastic_slice,
-                                stress_field, thermal_creep_increment,
-                                thermal_expansion_strain)
+                                stress_field, thermal_creep_increment)
 
 GEOM = RodGeometry()
 MAT = MaterialParams()
@@ -22,37 +19,6 @@ def _uniform_field(T, nz=12, nr_fuel=4, nr_clad=3):
     return TemperatureField(mesh=mesh,
                             T_fuel=np.full((mesh.nz_fuel, mesh.nr_fuel), T),
                             T_clad=np.full((mesh.nz, mesh.nr_clad), T))
-
-
-class TestThermalExpansion:
-    def test_reference_temperature_gives_zero(self):
-        field = _uniform_field(MAT.T_ref)
-        ef, ec = thermal_expansion_strain(field, MAT)
-        assert np.all(ef == 0.0)
-        assert np.all(ec == 0.0)
-
-    def test_value_at_reference_cladding_temperature(self):
-        field = _uniform_field(615.0)
-        _, ec = thermal_expansion_strain(field, MAT)
-        expected = 6.7e-6 * (615.0 - 295.15)
-        assert ec[0, 0] == pytest.approx(expected, rel=1e-12)
-        assert expected == pytest.approx(0.0021429, rel=0.01)
-
-    def test_cold_field_rejected(self):
-        field = _uniform_field(200.0)
-        with pytest.raises(DomainError):
-            thermal_expansion_strain(field, MAT)
-
-    @given(scale=st.floats(0.5, 4.0))
-    @settings(max_examples=25, deadline=None)
-    def test_linearity_in_expansion_coefficient(self, scale):
-        field = _uniform_field(600.0)
-        m2 = MaterialParams(alpha_fuel=MAT.alpha_fuel * scale,
-                            alpha_theta=MAT.alpha_theta * scale)
-        ef1, ec1 = thermal_expansion_strain(field, MAT)
-        ef2, ec2 = thermal_expansion_strain(field, m2)
-        np.testing.assert_allclose(ef2, scale * ef1, rtol=1e-12)
-        np.testing.assert_allclose(ec2, scale * ec1, rtol=1e-12)
 
 
 class TestLameSlice:
@@ -245,6 +211,16 @@ class TestHoopStrainSummary:
         field = _uniform_field(MAT.T_ref)
         rep = hoop_strain_summary(field, MAT, 3.47e7)
         assert rep.total == pytest.approx(0.0, abs=1e-12)
+
+    def test_thermal_at_reference_cladding_temperature(self):
+        rep = hoop_strain_summary(_uniform_field(615.0), MAT, 3.47e7)
+        expected = 6.7e-6 * (615.0 - 295.15)
+        assert rep.thermal == pytest.approx(expected, rel=1e-12)
+        assert expected == pytest.approx(0.0021429, rel=0.01)
+
+    def test_cold_field_rejected(self):
+        with pytest.raises(DomainError):
+            hoop_strain_summary(_uniform_field(200.0), MAT, 3.47e7)
 
 
 class TestStressField:
