@@ -28,11 +28,22 @@ class SensorConfig:
             raise ConfigurationError(f"unknown tinf_policy {self.tinf_policy!r}")
 
 
+def _require_ints(obj, names) -> None:
+    """ConfigurationError unless each named field is an int (bool is not)."""
+    for name in names:
+        v = getattr(obj, name)
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ConfigurationError(f"{name} must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class MeshConfig:
     nr_fuel: int = 11
     nr_clad: int = 4
     nz: int = 100
+
+    def __post_init__(self):
+        _require_ints(self, ("nr_fuel", "nr_clad", "nz"))
 
 
 @dataclass(frozen=True)
@@ -50,6 +61,7 @@ class TrainSettings:
     schedule: tuple = ((300, 1e-3), (600, 1e-4), (900, 1e-5), (1200, 1e-6))
 
     def __post_init__(self):
+        _require_ints(self, ("epochs", "batch_size", "seed"))
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
         thresholds = [t for t, _ in self.schedule]

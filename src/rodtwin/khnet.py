@@ -10,6 +10,10 @@ with hand-written reverse-mode gradients; no autodiff framework.
 Both stacks live in one flat vector ``KhModel.theta`` with named per-layer
 views; gradients share its layout, so Adam is a few vector operations.
 Checkpoints stay per-layer JSON.
+
+Training is mixed precision (Micikevicius et al. 2018): the stacks' forward
+and backward passes run in float32 on a per-step copy of theta, while theta,
+Adam, validation, checkpoints and reconstruction stay float64.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ _BOUNDS = list(accumulate((math.prod(s) for s in PARAM_SHAPES.values()),
                           initial=0))
 STACK_SIZE = _BOUNDS[-1]
 N_PARAMS = 2 * STACK_SIZE
+
+TRAIN_DTYPE = np.float32   # compute precision of the stacks in train()
 
 DIVERGENCE_FACTOR = 10.0
 DIVERGENCE_PATIENCE = 50
@@ -220,18 +226,24 @@ def lr_schedule(epoch: int, schedule=TrainSettings().schedule) -> float:
 # gradients + Adam
 # ---------------------------------------------------------------------------
 
-def loss_and_gradients(model: KhModel, feats, u_n, dhat_n, w, y):
+def loss_and_gradients(model: KhModel, feats, u_n, dhat_n, w, y,
+                       dtype=np.float64):
     """MSE loss and exact reverse-mode gradients for both stacks.
 
     feats (B, M, 5); u_n/dhat_n/w (B, M) per-sample sensor vectors; y (B,).
-    grad is a fresh vector in theta's layout; stack_views(grad) names it.
+    dtype is the compute precision: the inputs and a copy of theta are cast
+    to it (no copy for float64). grad is a fresh float64 vector in theta's
+    layout; stack_views(grad) names it.
     """
+    feats, u_n, dhat_n, w, y = (np.asarray(a, dtype)
+                                for a in (feats, u_n, dhat_n, w, y))
     b, mcount, nf = feats.shape
     if b == 0:
         raise DomainError("empty batch")
+    stacks = stack_views(model.theta.astype(dtype, copy=False))
     flat = feats.reshape(b * mcount, nf)
-    g, cache_g = _dense_forward_cache(model.G_stack, flat)
-    dg, cache_d = _dense_forward_cache(model.dG_stack, flat)
+    g, cache_g = _dense_forward_cache(stacks[0], flat)
+    dg, cache_d = _dense_forward_cache(stacks[1], flat)
     phi = u_n * dg.reshape(b, mcount) - g.reshape(b, mcount) * dhat_n
     yhat = np.einsum("bm,bm->b", w, phi)
 
@@ -240,10 +252,11 @@ def loss_and_gradients(model: KhModel, feats, u_n, dhat_n, w, y):
     dyhat = 2.0 * resid / b
     dphi = dyhat[:, None] * w
 
-    grad = np.empty(N_PARAMS)
+    grad = np.empty(N_PARAMS, dtype)
     grads_g, grads_d = stack_views(grad)
-    _dense_backward(model.G_stack, cache_g, (-dphi * dhat_n).ravel(), grads_g)
-    _dense_backward(model.dG_stack, cache_d, (dphi * u_n).ravel(), grads_d)
+    _dense_backward(stacks[0], cache_g, (-dphi * dhat_n).ravel(), grads_g)
+    _dense_backward(stacks[1], cache_d, (dphi * u_n).ravel(), grads_d)
+    grad = grad.astype(np.float64, copy=False)
     if not np.isfinite(grad).all():
         raise TrainingError("non-finite gradient encountered")
     return loss, grad
@@ -296,21 +309,24 @@ class TrainHistory:
 class _Samples:
     """Every (case, node) sample of a split, case-major: sample i is node
     i % N of case i // N. feats (N, M, 5) is shared by the cases; u, d, w
-    (C, M) are the per-case sensor vectors; y (C * N,) the targets."""
+    (C, M) are the per-case sensor vectors; y (C * N,) the targets. All five
+    are computed in float64 and then held in dtype."""
 
-    def __init__(self, dataset: Dataset, split: str):
+    def __init__(self, dataset: Dataset, split: str, dtype=np.float64):
         cases = dataset.split(split)
         if len({tuple(a.tobytes() for a in (c.r, c.z, c.sensors.r, c.sensors.z))
                 for c in cases}) > 1:
             raise ConfigurationError(f"{split} cases differ in node/sensor layout")
         c0, norm = cases[0], dataset.norm
-        self.feats = boundary_features(np.column_stack([c0.r, c0.z]),
-                                       np.column_stack([c0.sensors.r,
-                                                        c0.sensors.z]), norm)
-        self.u = np.stack([norm.norm_T(c.sensors.T) for c in cases])
-        self.d = np.stack([norm.norm_d(c.sensors.dhat) for c in cases])
-        self.w = np.stack([c.sensors.w for c in cases])
-        self.y = np.concatenate([norm.norm_T(c.T) for c in cases])
+        arrays = (boundary_features(np.column_stack([c0.r, c0.z]),
+                                    np.column_stack([c0.sensors.r,
+                                                     c0.sensors.z]), norm),
+                  np.stack([norm.norm_T(c.sensors.T) for c in cases]),
+                  np.stack([norm.norm_d(c.sensors.dhat) for c in cases]),
+                  np.stack([c.sensors.w for c in cases]),
+                  np.concatenate([norm.norm_T(c.T) for c in cases]))
+        self.feats, self.u, self.d, self.w, self.y = (
+            a.astype(dtype, copy=False) for a in arrays)
 
     def take(self, sel):
         """(feats, u, d, w, y) of the samples sel for loss_and_gradients."""
@@ -331,13 +347,15 @@ def train(dataset: Dataset, settings: TrainSettings | None = None
     """Minibatch Adam over all training samples with per-epoch validation.
 
     Deterministic under a fixed seed; retains the best-validation checkpoint.
+    The steps run the stacks in TRAIN_DTYPE on a training split cast once;
+    theta, Adam and the float64 validation MSE keep full precision.
     """
     settings = settings or dataset.config.training
     for split in ("train", "validate", "test"):
         if not dataset.split(split):
             raise ConfigurationError(f"dataset is missing the {split!r} split")
 
-    tr = _Samples(dataset, "train")
+    tr = _Samples(dataset, "train", TRAIN_DTYPE)
     va = _Samples(dataset, "validate")
     batch_starts = range(0, tr.y.size, settings.batch_size)
 
@@ -358,7 +376,8 @@ def train(dataset: Dataset, settings: TrainSettings | None = None
         losses = 0.0
         for start in batch_starts:
             loss, grad = loss_and_gradients(
-                model, *tr.take(perm[start:start + settings.batch_size]))
+                model, *tr.take(perm[start:start + settings.batch_size]),
+                dtype=TRAIN_DTYPE)
             adam_step(model, state, grad, alpha, settings.beta1,
                       settings.beta2, settings.eps)
             losses += loss

@@ -379,6 +379,23 @@ class TestExitCodes:
         assert "R_co" in json.loads(lines[0])["message"]
         assert not (tmp_path / "sim" / "field.csv").exists()
 
+    @pytest.mark.parametrize("section", [{"mesh": {"nz": "abc"}},
+                                         {"mesh": {"nr_fuel": 4.0}},
+                                         {"training": {"epochs": "abc"}}])
+    def test_simulate_rejects_non_integer_config_field(self, tmp_path, capsys,
+                                                      section):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(section))
+        rc = main(["simulate", "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "sim")])
+        assert rc == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert (err["error"], err["type"]) == ("config", "ConfigurationError")
+        assert "must be an integer" in err["message"]
+        assert not (tmp_path / "sim" / "field.csv").exists()
+
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["train", "--dataset", str(tmp_path / "nope"),
                    "--out-dir", str(tmp_path / "o")])

@@ -91,6 +91,24 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="R_co"):
             config_from_dict(data)
 
+    @pytest.mark.parametrize("section,key", [
+        ("mesh", "nr_fuel"), ("mesh", "nr_clad"), ("mesh", "nz"),
+        ("training", "epochs"), ("training", "batch_size"),
+        ("training", "seed"),
+    ])
+    @pytest.mark.parametrize("value", ["abc", "12", 12.0, True, None, [12]])
+    def test_integer_fields_reject_other_types(self, section, key, value):
+        with pytest.raises(ConfigurationError, match=key):
+            config_from_dict({section: {key: value}})
+
+    def test_integer_fields_accept_ints(self):
+        cfg = config_from_dict({"mesh": {"nr_fuel": 6, "nr_clad": 3, "nz": 40},
+                                "training": {"epochs": 2, "batch_size": 8,
+                                             "seed": 3}})
+        assert cfg.mesh == MeshConfig(nr_fuel=6, nr_clad=3, nz=40)
+        assert (cfg.training.epochs, cfg.training.batch_size,
+                cfg.training.seed) == (2, 8, 3)
+
     def test_equal_radii_accepted(self):
         cfg = config_from_dict({"geometry": {"R_co": 0.0049},
                                 "channel": {"R_co": 0.0049}})

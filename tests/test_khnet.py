@@ -7,15 +7,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rodtwin.config import TrainSettings
+from rodtwin import khnet
+from rodtwin.config import TrainSettings, TwinConfig
 from rodtwin.errors import (ConfigurationError, DomainError, ShapeError)
 from rodtwin.khnet import (AdamState, KhModel, LAYER_SIZES, N_PARAMS,
                            PARAM_KEYS, _Samples, adam_step, boundary_features,
                            dense_forward, init_stack, kh_integrate,
                            kh_physical_layer, loss_and_gradients, lr_schedule,
                            mse_loss, reconstruct_field, stack_views, train)
-from rodtwin.io import mesh_from_config
-from rodtwin.pipeline import NormConstants
+from rodtwin.io import load_checkpoint, mesh_from_config, save_checkpoint
+from rodtwin.metrics import compute_metrics
+from rodtwin.pipeline import NormConstants, generate_dataset, roster_specs
 
 
 def _random_model(seed):
@@ -386,16 +388,20 @@ class TestFlatParameters:
 
 
 class TestTraining:
-    # train_mse / val_mse of this run (numpy 2.4.6, OpenBLAS 0.3.31). The
-    # flat parameter vector reproduced the per-array implementation bit for
-    # bit; the values were re-recorded, with the training code unchanged,
-    # when the coupled solver became one Picard loop, and again when the
-    # coolant march became exact in enthalpy, each time because the ground
-    # truth of dataset_tiny changed
-    REFERENCE_TRAIN_MSE = (0.3325896597816329, 0.18456807389234592,
-                           0.14328759848162564)
-    REFERENCE_VAL_MSE = (0.18764138471959474, 0.05037509644649217,
-                         0.07763473964781231)
+    # train_mse / val_mse of this run (numpy 2.4.6, OpenBLAS 0.3.31, one
+    # thread). The flat parameter vector reproduced the per-array
+    # implementation bit for bit; the values were re-recorded, with the
+    # training code unchanged, when the coupled solver became one Picard loop
+    # and when the coolant march became exact in enthalpy, each time because
+    # the ground truth of dataset_tiny changed. They were re-recorded again
+    # when the training steps moved to float32 stacks: train_mse is then a
+    # float32 batch loss and every step's float32 gradient differs from the
+    # float64 one by about 1e-7 relative, so both tuples moved by up to
+    # 6e-8 relative (validation stays float64 on float64 weights)
+    REFERENCE_TRAIN_MSE = (0.33258965983986855, 0.18456808477640152,
+                           0.14328759908676147)
+    REFERENCE_VAL_MSE = (0.18764138900090585, 0.05037509539965718,
+                         0.07763474124222428)
 
     def test_matches_per_array_reference(self, dataset_tiny):
         _, hist = train(dataset_tiny, TrainSettings(epochs=3, fixed_lr=1e-3,
@@ -592,3 +598,109 @@ class TestLayoutKernels:
         save_checkpoint(model, tmp_path / "after.json")
         assert (tmp_path / "before.json").read_bytes() == \
             (tmp_path / "after.json").read_bytes()
+
+
+def _criterion4_case(seed):
+    """Model and 8-sample batch of acceptance criterion 4 for one seed."""
+    rng = np.random.default_rng(seed)
+    norm = NormConstants(r_center=0.2, r_scale=0.3, z_center=1.9, z_scale=1.9,
+                         T_center=600.0, T_scale=300.0)
+    model = KhModel(G_stack=init_stack(rng), dG_stack=init_stack(rng),
+                    norm=norm, eta=1.0)
+    batch = (rng.uniform(-1, 1, size=(8, 4, 5)), rng.uniform(-1, 1, size=(8, 4)),
+             rng.uniform(-1, 1, size=(8, 4)), rng.uniform(0.1, 1, size=(8, 4)),
+             rng.uniform(-1, 1, size=8))
+    return model, batch
+
+
+class TestMixedPrecision:
+    # float64 loss, gradient sum and squared norm of the default call on the
+    # criterion-4 batches, recorded before the float32 path existed; rtol
+    # 1e-12 allows only for another BLAS build's last bits
+    FLOAT64_REFERENCE = (
+        (0.20217772834570333, 1.9226999437223329, 0.31135476654297223),
+        (0.32578186840690215, 0.5799772004615822, 0.5559108785240051),
+        (0.29818198520323375, 1.2093283387935254, 1.3255111836880547),
+        (0.46847190625083596, 1.7215982148215383, 2.5237780860175043),
+        (0.29652827811358357, 1.1241774526386377, 1.2361337285825573))
+
+    def test_default_call_is_the_float64_path(self):
+        for seed, ref in enumerate(self.FLOAT64_REFERENCE):
+            model, batch = _criterion4_case(seed)
+            loss, grad = loss_and_gradients(model, *batch)
+            loss64, grad64 = loss_and_gradients(model, *batch,
+                                                dtype=np.float64)
+            assert loss == loss64
+            np.testing.assert_array_equal(grad, grad64)
+            assert grad.dtype == np.float64
+            np.testing.assert_allclose((loss, grad.sum(), grad @ grad), ref,
+                                       rtol=1e-12, atol=0.0)
+
+    def test_float32_gradient_matches_float64(self):
+        # worst measured over the 5 seeds (OpenBLAS 0.3.31, one thread):
+        # 9.4e-7 of a layer's largest gradient entry and 9.8e-8 of the loss,
+        # i.e. a few float32 ulps; the bounds leave a 5x and 10x margin
+        for seed in range(5):
+            model, batch = _criterion4_case(seed)
+            loss64, grad64 = loss_and_gradients(model, *batch)
+            loss32, grad32 = loss_and_gradients(model, *batch,
+                                                dtype=np.float32)
+            assert abs(loss32 - loss64) <= 1e-6 * loss64
+            for s32, s64 in zip(stack_views(grad32), stack_views(grad64)):
+                for k in PARAM_KEYS:
+                    scale = np.abs(s64[k]).max()
+                    assert np.abs(s32[k] - s64[k]).max() <= 5e-6 * scale, k
+
+    def test_float32_call_leaves_theta_alone(self):
+        model, batch = _criterion4_case(0)
+        before = model.theta.tobytes()
+        _, grad = loss_and_gradients(model, *batch, dtype=np.float32)
+        assert model.theta.tobytes() == before
+        assert model.theta.dtype == np.float64
+        assert grad.dtype == np.float64 and grad.shape == (N_PARAMS,)
+        assert not np.shares_memory(grad, model.theta)
+
+    def test_training_keeps_weights_optimizer_and_checkpoint_float64(
+            self, dataset_tiny, monkeypatch, tmp_path):
+        seen, steps = [], []
+
+        def recording_adam_step(model, state, grad, *args):
+            seen.append((model.theta.dtype, state.m.dtype, state.v.dtype,
+                         grad.dtype))
+            adam_step(model, state, grad, *args)
+
+        def recording_step(model, *batch, dtype):
+            steps.append({np.dtype(dtype), *(np.asarray(a).dtype
+                                             for a in batch)})
+            return loss_and_gradients(model, *batch, dtype=dtype)
+
+        monkeypatch.setattr(khnet, "adam_step", recording_adam_step)
+        monkeypatch.setattr(khnet, "loss_and_gradients", recording_step)
+        model, hist = train(dataset_tiny, TrainSettings(epochs=2,
+                                                        fixed_lr=1e-3))
+        # the steps run in float32 on a training split already held in it
+        assert steps and all(s == {np.dtype(np.float32)} for s in steps)
+        assert seen and set(seen) == {(np.dtype(np.float64),) * 4}
+        assert model.theta.dtype == np.float64
+        # master weights carry float64 precision, not float32 values
+        assert np.any(model.theta != model.theta.astype(np.float32))
+        # validation runs in float64 on the master weights
+        assert hist.val_mse[hist.best_epoch] == \
+            _Samples(dataset_tiny, "validate").mse(model)
+        save_checkpoint(model, tmp_path / "checkpoint.json")
+        loaded = load_checkpoint(tmp_path / "checkpoint.json")
+        assert loaded.theta.dtype == np.float64
+        assert loaded.theta.tobytes() == model.theta.tobytes()
+
+    def test_short_schedule_floor_on_several_seeds(self):
+        # the roster_train benchmark check: held-out 20 kW/m R2 >= 0.9 after
+        # 8 epochs on the nominal roster (measured 0.9677-0.9757, seeds 0-5)
+        cfg = TwinConfig()
+        ds = generate_dataset(roster_specs(cfg), cfg, seed=0)
+        mesh = mesh_from_config(cfg)
+        test = ds.split("test")[0]
+        for seed in (0, 1, 2):
+            model, _ = train(ds, replace(cfg.training, epochs=8, seed=seed))
+            rec = reconstruct_field(model, test.sensors, mesh)
+            r2 = compute_metrics(rec.flatten(), test.T, test.region).r_squared
+            assert r2 >= 0.9, (seed, r2)
