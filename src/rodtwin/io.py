@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -26,29 +27,42 @@ SENSOR_COLUMNS = ("z", "r", "T", "T_inf", "dhat", "w", "eta")
 NODE_TOL = 1e-9  # [m] field-file node coordinates match the mesh to this
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _text(values) -> tuple[str, ...]:
+    """A numeric column as CSV field text: repr(float(x)) of each value, the
+    shortest text that reads back to the same float."""
+    return tuple(map(repr, np.asarray(values, float).tolist()))
+
+
+@lru_cache(maxsize=16)   # one per mesh; meshes are memoized and read-only
+def _node_text(mesh: RodMesh) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The r and z node columns of mesh as CSV field text."""
+    r, z, _ = mesh.node_table()
+    return _text(r), _text(z)
 
 
 def _write_csv(path, header, columns):
-    rows = zip(*columns)
+    """Write columns of field text (see _text) under header.
+
+    No field holds a comma, quote or line break, so these are the bytes that
+    csv.writer writes: no quoting and \\r\\n after every row."""
+    rows = map(",".join, zip(*columns))
     with open(path, "w", newline="") as f:
-        wr = csv.writer(f)
-        wr.writerow(header)
-        for row in rows:
-            wr.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+        f.write("\r\n".join((",".join(header), *rows)) + "\r\n")
 
 
 def _read_csv(path, required):
     """Columns by header name. Raises ConfigurationError on undecodable
-    text or a CSV syntax error, a missing required column, no data rows, or
-    a row of the wrong length."""
+    text or a CSV syntax error, a repeated or missing required column, no
+    data rows, or a row of the wrong length."""
     try:
         with open(path, newline="") as f:
             rows = [row for row in csv.reader(f) if row]
     except (UnicodeDecodeError, csv.Error) as e:
         raise ConfigurationError(f"{path}: {type(e).__name__}: {e}") from e
     header, body = (rows[0], rows[1:]) if rows else ([], [])
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise ConfigurationError(f"{path}: repeated column(s) {', '.join(repeated)}")
     missing = [h for h in required if h not in header]
     if missing:
         raise ConfigurationError(f"{path}: missing column(s) {', '.join(missing)}")
@@ -79,8 +93,9 @@ def _floats(path, cols, name) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def field_to_csv(field: TemperatureField, path) -> None:
+    r, z = _node_text(field.mesh)
     _write_csv(path, ["r", "z", "region", "T"],
-               [*field.mesh.node_table(), field.flatten()])
+               [r, z, field.mesh.node_table()[2], _text(field.flatten())])
 
 
 def field_arrays_from_csv(path):
@@ -112,19 +127,27 @@ def field_from_csv(path, mesh: RodMesh) -> TemperatureField:
 
 def channel_to_csv(state: ChannelState, path) -> None:
     _write_csv(path, ["z", "T_cool", "h", "P", "Re"],
-               [state.z, state.T_cool, state.h, state.P, state.Re])
+               [_text(c) for c in (state.z, state.T_cool, state.h, state.P,
+                                   state.Re)])
 
 
 def sensors_to_csv(sensors: SensorSet, path) -> None:
     n = sensors.z.size
     _write_csv(path, SENSOR_COLUMNS,
-               [sensors.z, sensors.r, sensors.T, sensors.T_inf, sensors.dhat,
-                sensors.w, np.full(n, sensors.eta)])
+               [_text(c) for c in (sensors.z, sensors.r, sensors.T,
+                                   sensors.T_inf, sensors.dhat, sensors.w,
+                                   np.full(n, sensors.eta))])
 
 
 def sensors_from_csv(path) -> SensorSet:
     cols = _read_csv(path, SENSOR_COLUMNS)
     arr = {k: _floats(path, cols, k) for k in SENSOR_COLUMNS}
+    differs = arr["eta"] != arr["eta"][0]
+    if differs.any():
+        k = int(np.argmax(differs))
+        raise ConfigurationError(
+            f"{path}: column eta, data row {k + 1}: {cols['eta'][k]!r} differs "
+            f"from data row 1's {cols['eta'][0]!r}; eta is one value per file")
     return SensorSet(z=arr["z"], r=arr["r"], T=arr["T"], T_inf=arr["T_inf"],
                      dhat=arr["dhat"], w=arr["w"], eta=float(arr["eta"][0]))
 
@@ -241,7 +264,8 @@ def load_checkpoint(path) -> KhModel:
 def history_to_csv(history: TrainHistory, path) -> None:
     epochs = np.arange(len(history.train_mse))
     _write_csv(path, ["epoch", "train_mse", "val_mse", "lr"],
-               [epochs, history.train_mse, history.val_mse, history.lr])
+               [_text(c) for c in (epochs, history.train_mse, history.val_mse,
+                                   history.lr)])
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +285,13 @@ def strain_report_to_json(report, path) -> None:
 
 
 def stress_field_to_csv(sf, path) -> None:
-    mesh = sf.mesh
-    r, z, _ = mesh.node_table()
+    r, z = _node_text(sf.mesh)
     sig_r = np.concatenate([sf.fuel_sigma_r.ravel(), sf.clad_sigma_r.ravel()])
     sig_z = np.concatenate([sf.fuel_sigma_z.ravel(), sf.clad_sigma_z.ravel()])
     sig_t = np.concatenate([sf.fuel_sigma_theta.ravel(),
                             sf.clad_sigma_theta.ravel()])
     _write_csv(path, ["r", "z", "sigma_r", "sigma_z", "sigma_theta"],
-               [r, z, sig_r, sig_z, sig_t])
+               [r, z, _text(sig_r), _text(sig_z), _text(sig_t)])
 
 
 def metrics_to_json(report, path) -> None:

@@ -226,21 +226,40 @@ def lr_schedule(epoch: int, schedule=TrainSettings().schedule) -> float:
 # gradients + Adam
 # ---------------------------------------------------------------------------
 
+class StepBuffers:
+    """A copy of theta and a gradient vector in one compute dtype, each with
+    its per-layer views built once, for repeated loss_and_gradients calls."""
+
+    def __init__(self, dtype):
+        self.theta = np.empty(N_PARAMS, dtype)
+        self.grad = np.empty(N_PARAMS, dtype)
+        self.stacks = stack_views(self.theta)
+        self.grads = stack_views(self.grad)
+
+
 def loss_and_gradients(model: KhModel, feats, u_n, dhat_n, w, y,
-                       dtype=np.float64):
+                       dtype=np.float64, *, buffers: StepBuffers | None = None):
     """MSE loss and exact reverse-mode gradients for both stacks.
 
     feats (B, M, 5); u_n/dhat_n/w (B, M) per-sample sensor vectors; y (B,).
     dtype is the compute precision: the inputs and a copy of theta are cast
-    to it (no copy for float64). grad is a fresh float64 vector in theta's
-    layout; stack_views(grad) names it.
+    to it (no copy for float64). With buffers, theta is copied into them and
+    their dtype is the compute precision. grad is a fresh float64 vector in
+    theta's layout; stack_views(grad) names it. theta is not changed.
     """
+    if buffers is not None:
+        dtype = buffers.theta.dtype
+        np.copyto(buffers.theta, model.theta)
+        stacks, grad, grads = buffers.stacks, buffers.grad, buffers.grads
+    else:
+        stacks = stack_views(model.theta.astype(dtype, copy=False))
+        grad = np.empty(N_PARAMS, dtype)
+        grads = stack_views(grad)
     feats, u_n, dhat_n, w, y = (np.asarray(a, dtype)
                                 for a in (feats, u_n, dhat_n, w, y))
     b, mcount, nf = feats.shape
     if b == 0:
         raise DomainError("empty batch")
-    stacks = stack_views(model.theta.astype(dtype, copy=False))
     flat = feats.reshape(b * mcount, nf)
     g, cache_g = _dense_forward_cache(stacks[0], flat)
     dg, cache_d = _dense_forward_cache(stacks[1], flat)
@@ -252,11 +271,10 @@ def loss_and_gradients(model: KhModel, feats, u_n, dhat_n, w, y,
     dyhat = 2.0 * resid / b
     dphi = dyhat[:, None] * w
 
-    grad = np.empty(N_PARAMS, dtype)
-    grads_g, grads_d = stack_views(grad)
-    _dense_backward(stacks[0], cache_g, (-dphi * dhat_n).ravel(), grads_g)
-    _dense_backward(stacks[1], cache_d, (dphi * u_n).ravel(), grads_d)
-    grad = grad.astype(np.float64, copy=False)
+    _dense_backward(stacks[0], cache_g, (-dphi * dhat_n).ravel(), grads[0])
+    _dense_backward(stacks[1], cache_d, (dphi * u_n).ravel(), grads[1])
+    # a buffer is overwritten by the next call: the caller gets a copy
+    grad = grad.astype(np.float64, copy=buffers is not None)
     if not np.isfinite(grad).all():
         raise TrainingError("non-finite gradient encountered")
     return loss, grad
@@ -347,8 +365,9 @@ def train(dataset: Dataset, settings: TrainSettings | None = None
     """Minibatch Adam over all training samples with per-epoch validation.
 
     Deterministic under a fixed seed; retains the best-validation checkpoint.
-    The steps run the stacks in TRAIN_DTYPE on a training split cast once;
-    theta, Adam and the float64 validation MSE keep full precision.
+    The steps run the stacks in TRAIN_DTYPE on a training split and step
+    buffers made once; theta, Adam and the float64 validation MSE keep full
+    precision.
     """
     settings = settings or dataset.config.training
     for split in ("train", "validate", "test"):
@@ -363,6 +382,7 @@ def train(dataset: Dataset, settings: TrainSettings | None = None
     model = KhModel(G_stack=init_stack(rng), dG_stack=init_stack(rng),
                     norm=dataset.norm, eta=dataset.config.sensors.eta)
     state = AdamState.for_model(model)
+    buffers = StepBuffers(TRAIN_DTYPE)
 
     history = TrainHistory()
     best_val = np.inf
@@ -377,7 +397,7 @@ def train(dataset: Dataset, settings: TrainSettings | None = None
         for start in batch_starts:
             loss, grad = loss_and_gradients(
                 model, *tr.take(perm[start:start + settings.batch_size]),
-                dtype=TRAIN_DTYPE)
+                buffers=buffers)
             adam_step(model, state, grad, alpha, settings.beta1,
                       settings.beta2, settings.eps)
             losses += loss

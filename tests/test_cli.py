@@ -318,6 +318,36 @@ class TestExitCodes:
         assert "non-finite" in err["message"]
         assert not (tmp_path / "rec" / "reconstructed.csv").exists()
 
+    def test_strain_rejects_repeated_column(self, tiny_cfg_path, tiny_run,
+                                            tmp_path, capsys):
+        field = tmp_path / "field.csv"
+        _rewrite_csv(tiny_run / "field.csv", field,
+                     lambda rows: [row + [row[-1]] for row in rows])
+        capsys.readouterr()
+        rc = main(["strain", "--config", tiny_cfg_path, "--field", str(field),
+                   "--out-dir", str(tmp_path / "strain")])
+        err = _assert_config_error(capsys, rc)
+        assert "repeated column(s) T" in err["message"]
+        assert str(field) in err["message"]
+        assert not (tmp_path / "strain" / "strain.json").exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda rows: [row + [row[2]] for row in rows],          # ...,eta,T
+        lambda rows: rows[:2] + [row[:-1] + ["0.5"] for row in rows[2:]],
+    ], ids=["repeated-column", "eta-differs"])
+    def test_reconstruct_rejects_ambiguous_sensors(self, tiny_cfg_path,
+                                                   tiny_run, tiny_model,
+                                                   tmp_path, capsys, edit):
+        sensors = tmp_path / "sensors.csv"
+        _rewrite_csv(tiny_run / "sensors.csv", sensors, edit)
+        capsys.readouterr()
+        rc = main(["reconstruct", "--config", tiny_cfg_path,
+                   "--checkpoint", str(tiny_model / "checkpoint.json"),
+                   "--sensors", str(sensors), "--out-dir", str(tmp_path / "rec")])
+        err = _assert_config_error(capsys, rc)
+        assert str(sensors) in err["message"]
+        assert not (tmp_path / "rec" / "reconstructed.csv").exists()
+
     def test_evaluate_rejects_nan_temperature(self, tiny_run, tmp_path, capsys):
         def edit(rows):
             rows[5][-1] = "nan"
@@ -404,24 +434,36 @@ class TestExitCodes:
         assert err["error"] == "missing-file"
 
 
-# Malformed sensors files: one edit of a valid tiny-config sensors.csv, or a
-# whole file of empty or arbitrary bytes. Every edit leaves the file invalid:
-# each of its seven columns is required, and cell edits only touch data rows.
+# Malformed CSV files: one edit of a valid tiny-config file, or a whole file
+# of empty or arbitrary bytes. Every edit leaves the file invalid: each column
+# is required and may appear once, and cell edits only touch numeric cells of
+# data rows.
 _NOT_A_NUMBER = st.text(alphabet="abcxyz_.-+e ", max_size=6)   # no digit, n, i
 _NON_FINITE = st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf",
                                "+Infinity", "1e999", "-1e400"])
-_SENSOR_EDITS = st.one_of(
-    st.tuples(st.just("drop-column"), st.integers(0, 6)),
-    st.tuples(st.just("cell"), st.integers(1, 4), st.integers(0, 6),
-              st.one_of(_NOT_A_NUMBER, _NON_FINITE)),
-    st.tuples(st.just("ragged"), st.integers(0, 4), st.booleans()),
-    st.tuples(st.just("header-only")),
-    st.tuples(st.just("bytes"), st.one_of(
-        st.sampled_from([b"", b"\n", b" \n\n", b"\x00"]), st.binary(max_size=64))),
-)
 
 
-def _edited_sensors(text, edit):
+def _csv_edits(n_columns, numeric_columns, n_rows):
+    """Edits of a file of n_columns; cell edits in its first n_rows."""
+    return st.one_of(
+        st.tuples(st.just("drop-column"), st.integers(0, n_columns - 1)),
+        st.tuples(st.just("repeat-column"), st.integers(0, n_columns - 1)),
+        st.tuples(st.just("cell"), st.integers(1, n_rows),
+                  st.sampled_from(numeric_columns),
+                  st.one_of(_NOT_A_NUMBER, _NON_FINITE)),
+        st.tuples(st.just("ragged"), st.integers(0, n_rows), st.booleans()),
+        st.tuples(st.just("header-only")),
+        st.tuples(st.just("bytes"), st.one_of(
+            st.sampled_from([b"", b"\n", b" \n\n", b"\x00"]),
+            st.binary(max_size=64))),
+    )
+
+
+_SENSOR_EDITS = _csv_edits(7, range(7), 4)
+_FIELD_EDITS = _csv_edits(4, (0, 1, 3), 10)    # r, z, region, T
+
+
+def _edited_csv(text, edit):
     rows = [line.split(",") for line in text.splitlines()]
     kind = edit[0]
     if kind == "bytes":
@@ -429,6 +471,8 @@ def _edited_sensors(text, edit):
     if kind == "drop-column":
         k = edit[1]
         rows = [row[:k] + row[k + 1:] for row in rows]
+    elif kind == "repeat-column":
+        rows = [row + [row[edit[1]]] for row in rows]
     elif kind == "cell":
         rows[edit[1]][edit[2]] = edit[3]
     elif kind == "ragged":
@@ -439,22 +483,45 @@ def _edited_sensors(text, edit):
     return ("\n".join(",".join(row) for row in rows) + "\n").encode()
 
 
+def _assert_one_error_object(argv):
+    """main(argv) fails with exit 2-5 and one JSON error object on stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (2, 3, 4, 5)
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) == {"error", "type", "message"}
+
+
 class TestSensorsFuzz:
     @given(edit=_SENSOR_EDITS)
     @settings(max_examples=50, deadline=None)
     def test_malformed_sensors_exit_with_one_error_object(
             self, tiny_cfg_path, tiny_run, tiny_model, tmp_path_factory, edit):
         sensors = tmp_path_factory.getbasetemp() / "fuzz_sensors.csv"
-        sensors.write_bytes(_edited_sensors(
+        sensors.write_bytes(_edited_csv(
             (tiny_run / "sensors.csv").read_text(), edit))
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
-            rc = main(["reconstruct", "--config", tiny_cfg_path,
-                       "--checkpoint", str(tiny_model / "checkpoint.json"),
-                       "--sensors", str(sensors),
-                       "--out-dir", str(sensors.parent / "fuzz_rec")])
-        assert rc in (2, 3, 4, 5)
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1
-        assert set(json.loads(lines[0])) == {"error", "type", "message"}
+        _assert_one_error_object(
+            ["reconstruct", "--config", tiny_cfg_path,
+             "--checkpoint", str(tiny_model / "checkpoint.json"),
+             "--sensors", str(sensors),
+             "--out-dir", str(sensors.parent / "fuzz_rec")])
+
+
+class TestFieldFuzz:
+    @given(edit=_FIELD_EDITS, as_truth=st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_malformed_field_exits_with_one_error_object(
+            self, tiny_cfg_path, tiny_run, tmp_path_factory, edit, as_truth):
+        field = tmp_path_factory.getbasetemp() / "fuzz_field.csv"
+        field.write_bytes(_edited_csv((tiny_run / "field.csv").read_text(),
+                                      edit))
+        good = str(tiny_run / "field.csv")
+        _assert_one_error_object(
+            ["strain", "--config", tiny_cfg_path, "--field", str(field),
+             "--out-dir", str(field.parent / "fuzz_strain")])
+        _assert_one_error_object(
+            ["evaluate", *((good, str(field)) if as_truth else
+                           (str(field), good))])

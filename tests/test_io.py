@@ -1,22 +1,31 @@
 """File formats: CSV/JSON round trips must be bit exact."""
 
+import csv
+import hashlib
 import json
+from dataclasses import replace
+from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rodtwin.config import TrainSettings
+from rodtwin.conduction import TemperatureField
+from rodtwin.config import TrainSettings, TwinConfig
 from rodtwin.errors import ConfigurationError
-from rodtwin.io import (SENSOR_COLUMNS, field_arrays_from_csv, field_from_csv,
-                        field_to_csv, history_to_csv, load_checkpoint,
-                        load_dataset, mesh_from_config, metrics_to_json,
-                        save_checkpoint, save_dataset, sensors_from_csv,
-                        sensors_to_csv, strain_report_to_json,
-                        stress_field_to_csv)
-from rodtwin.khnet import (PARAM_KEYS, kh_integrate, kh_physical_layer,
-                           train)
+from rodtwin.io import (SENSOR_COLUMNS, channel_to_csv, field_arrays_from_csv,
+                        field_from_csv, field_to_csv, history_to_csv,
+                        load_checkpoint, load_dataset, mesh_from_config,
+                        metrics_to_json, save_checkpoint, save_dataset,
+                        sensors_from_csv, sensors_to_csv,
+                        strain_report_to_json, stress_field_to_csv)
+from rodtwin.khnet import (PARAM_KEYS, TrainHistory, kh_integrate,
+                           kh_physical_layer, train)
+from rodtwin.mesh import CLAD, FUEL
 from rodtwin.metrics import compute_metrics
-from rodtwin.pipeline import NormConstants
+from rodtwin.pipeline import NormConstants, SensorSet, burnup_sweep
+
+SWEEP_DIGESTS = Path(__file__).parent / "data" / "sweep_seed1234.sha256"
 
 
 def _rewrite_csv(path, edit):
@@ -62,6 +71,14 @@ class TestFieldCsv:
         _rewrite_csv(path, lambda rows: _drop_column(rows, column))
         with pytest.raises(ConfigurationError, match=f"missing column.*{column}"):
             field_arrays_from_csv(path)
+
+    def test_repeated_column_rejected(self, coupled20, tmp_path):
+        path = tmp_path / "field.csv"
+        field_to_csv(coupled20.field, path)
+        _rewrite_csv(path, lambda rows: [row + [row[0]] for row in rows])
+        with pytest.raises(ConfigurationError, match="repeated column.*r") as exc:
+            field_arrays_from_csv(path)
+        assert str(path) in str(exc.value)
 
     def test_non_numeric_value_rejected(self, coupled20, tmp_path):
         path = tmp_path / "field.csv"
@@ -137,6 +154,25 @@ class TestSensorsCsv:
         sensors_path.write_bytes(data)
         with pytest.raises(ConfigurationError, match=error):
             sensors_from_csv(sensors_path)
+
+    def test_repeated_column_rejected(self, sensors_path):
+        # the last T column would otherwise win silently
+        _rewrite_csv(sensors_path, lambda rows: [row + [row[2]] for row in rows])
+        with pytest.raises(ConfigurationError,
+                           match="repeated column.*T") as exc:
+            sensors_from_csv(sensors_path)
+        assert str(sensors_path) in str(exc.value)
+
+    def test_eta_that_differs_between_rows_rejected(self, sensors_path):
+        # the first row's eta would otherwise win silently
+        def edit(rows):
+            rows[3][rows[0].index("eta")] = "2.0"
+            return rows
+        _rewrite_csv(sensors_path, edit)
+        with pytest.raises(ConfigurationError,
+                           match="column eta, data row 3: '2.0'") as exc:
+            sensors_from_csv(sensors_path)
+        assert str(sensors_path) in str(exc.value)
 
 
 class TestDatasetDirectory:
@@ -372,3 +408,116 @@ class TestReports:
         metrics_to_json(rep, path)
         blob = json.loads(path.read_text())
         assert blob["nl2"] == rep.nl2
+
+
+# Values whose shortest round-trip text is awkward: exponents, signed zero,
+# the smallest subnormal, integers written as floats.
+AWKWARD = np.array([1e-05, 1e16, -0.0, 5e-324, 0.1, -1.5e-300, 123456789.0,
+                    2.0 ** 0.5, 1e22, 7])
+
+
+def _reference_csv(header, columns) -> bytes:
+    """The bytes that csv.writer writes with repr(float(x)) for each number."""
+    buf = StringIO()
+    wr = csv.writer(buf)
+    wr.writerow(header)
+    for row in zip(*columns):
+        wr.writerow([v if isinstance(v, str) else repr(float(v)) for v in row])
+    return buf.getvalue().encode()
+
+
+def _awkward(n, shift=0):
+    return np.roll(np.resize(AWKWARD, n), shift)
+
+
+class TestWriterBytes:
+    """Every CSV writer writes the bytes of the csv.writer reference."""
+
+    def test_region_names_need_no_quoting(self):
+        for name in (FUEL, CLAD):
+            assert not set(name) & set(',"\r\n')
+
+    def test_field(self, cfg_tiny, tmp_path):
+        mesh = mesh_from_config(cfg_tiny)
+        T = _awkward(mesh.n_nodes)
+        path = tmp_path / "field.csv"
+        field_to_csv(TemperatureField.from_flat(mesh, T), path)
+        assert path.read_bytes() == _reference_csv(
+            ["r", "z", "region", "T"], [*mesh.node_table(), T])
+
+    def test_field_nodes_are_formatted_once_per_mesh(self, cfg_tiny, tmp_path):
+        from rodtwin.io import _node_text
+        mesh = mesh_from_config(cfg_tiny)
+        field = TemperatureField.from_flat(mesh, _awkward(mesh.n_nodes))
+        field_to_csv(field, tmp_path / "a.csv")
+        field_to_csv(field, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == \
+            (tmp_path / "b.csv").read_bytes()
+        r, z = _node_text(mesh)
+        assert _node_text(mesh) == (r, z) and _node_text(mesh)[0] is r
+        assert all(type(col) is tuple and all(type(v) is str for v in col)
+                   for col in (r, z))
+
+    def test_channel(self, coupled20, tmp_path):
+        ch = coupled20.channel
+        n = ch.z.size
+        state = replace(ch, T_cool=_awkward(n), h=_awkward(n, 1),
+                        P=_awkward(n, 2), Re=_awkward(n, 3))
+        path = tmp_path / "channel.csv"
+        channel_to_csv(state, path)
+        assert path.read_bytes() == _reference_csv(
+            ["z", "T_cool", "h", "P", "Re"],
+            [state.z, state.T_cool, state.h, state.P, state.Re])
+
+    @pytest.mark.parametrize("n", [4, 0])
+    def test_sensors(self, tmp_path, n):
+        s = SensorSet(z=_awkward(n), r=_awkward(n, 1), T=_awkward(n, 2),
+                      T_inf=_awkward(n, 3), dhat=_awkward(n, 4),
+                      w=_awkward(n, 5), eta=1e-05)
+        path = tmp_path / "sensors.csv"
+        sensors_to_csv(s, path)
+        assert path.read_bytes() == _reference_csv(
+            SENSOR_COLUMNS, [s.z, s.r, s.T, s.T_inf, s.dhat, s.w,
+                             np.full(n, s.eta)])
+
+    @pytest.mark.parametrize("n", [10, 0])
+    def test_history(self, tmp_path, n):
+        hist = TrainHistory(train_mse=list(_awkward(n)),
+                            val_mse=list(_awkward(n, 1)),
+                            lr=list(_awkward(n, 2)))
+        path = tmp_path / "history.csv"
+        history_to_csv(hist, path)
+        expected = _reference_csv(["epoch", "train_mse", "val_mse", "lr"],
+                                  [range(n), hist.train_mse, hist.val_mse,
+                                   hist.lr])
+        assert path.read_bytes() == expected
+        if n:   # integer epochs are written as floats
+            assert path.read_text().splitlines()[1].startswith("0.0,")
+
+    def test_stress_field(self, coupled20, tmp_path):
+        from rodtwin.core import MaterialParams
+        from rodtwin.thermomech import stress_field
+        sf = stress_field(coupled20.field, 2e6, 15.51e6, MaterialParams())
+        sf = replace(sf, fuel_sigma_r=_awkward(sf.fuel_sigma_r.size).reshape(
+            sf.fuel_sigma_r.shape))
+        path = tmp_path / "stress.csv"
+        stress_field_to_csv(sf, path)
+        r, z, _ = sf.mesh.node_table()
+        cols = [np.concatenate([getattr(sf, f"fuel_{k}").ravel(),
+                                getattr(sf, f"clad_{k}").ravel()])
+                for k in ("sigma_r", "sigma_z", "sigma_theta")]
+        assert path.read_bytes() == _reference_csv(
+            ["r", "z", "sigma_r", "sigma_z", "sigma_theta"], [r, z, *cols])
+
+    def test_seeded_sweep_files_match_recorded_digests(self, tmp_path):
+        # digests of the files written before the column writer replaced the
+        # per-value csv.writer loop (nominal config, seed 1234)
+        expected = dict(line.split()[::-1]
+                        for line in SWEEP_DIGESTS.read_text().splitlines())
+        ds = burnup_sweep(30, (2.4, 59.7), 1234, TwinConfig())
+        save_dataset(ds, tmp_path)
+        got = {p.relative_to(tmp_path).as_posix():
+               hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.rglob("*") if p.is_file()}
+        assert len(expected) == 91
+        assert got == expected

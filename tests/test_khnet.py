@@ -11,10 +11,11 @@ from rodtwin import khnet
 from rodtwin.config import TrainSettings, TwinConfig
 from rodtwin.errors import (ConfigurationError, DomainError, ShapeError)
 from rodtwin.khnet import (AdamState, KhModel, LAYER_SIZES, N_PARAMS,
-                           PARAM_KEYS, _Samples, adam_step, boundary_features,
-                           dense_forward, init_stack, kh_integrate,
-                           kh_physical_layer, loss_and_gradients, lr_schedule,
-                           mse_loss, reconstruct_field, stack_views, train)
+                           PARAM_KEYS, StepBuffers, _Samples, adam_step,
+                           boundary_features, dense_forward, init_stack,
+                           kh_integrate, kh_physical_layer, loss_and_gradients,
+                           lr_schedule, mse_loss, reconstruct_field,
+                           stack_views, train)
 from rodtwin.io import load_checkpoint, mesh_from_config, save_checkpoint
 from rodtwin.metrics import compute_metrics
 from rodtwin.pipeline import NormConstants, generate_dataset, roster_specs
@@ -660,6 +661,23 @@ class TestMixedPrecision:
         assert grad.dtype == np.float64 and grad.shape == (N_PARAMS,)
         assert not np.shares_memory(grad, model.theta)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_buffered_calls_match_fresh_ones(self, dtype):
+        # one set of buffers through the five criterion-4 batches, as train
+        # reuses them across steps
+        buffers = StepBuffers(dtype)
+        for seed in range(5):
+            model, batch = _criterion4_case(seed)
+            before = model.theta.tobytes()
+            loss, grad = loss_and_gradients(model, *batch, dtype=dtype)
+            loss_b, grad_b = loss_and_gradients(model, *batch, buffers=buffers)
+            assert loss_b == loss
+            assert grad_b.dtype == np.float64
+            assert grad_b.tobytes() == grad.tobytes()
+            assert model.theta.tobytes() == before
+            assert not np.shares_memory(grad_b, buffers.grad)
+            assert not np.shares_memory(grad_b, model.theta)
+
     def test_training_keeps_weights_optimizer_and_checkpoint_float64(
             self, dataset_tiny, monkeypatch, tmp_path):
         seen, steps = [], []
@@ -669,10 +687,10 @@ class TestMixedPrecision:
                          grad.dtype))
             adam_step(model, state, grad, *args)
 
-        def recording_step(model, *batch, dtype):
-            steps.append({np.dtype(dtype), *(np.asarray(a).dtype
-                                             for a in batch)})
-            return loss_and_gradients(model, *batch, dtype=dtype)
+        def recording_step(model, *batch, buffers):
+            steps.append({buffers.theta.dtype, buffers.grad.dtype,
+                          *(np.asarray(a).dtype for a in batch)})
+            return loss_and_gradients(model, *batch, buffers=buffers)
 
         monkeypatch.setattr(khnet, "adam_step", recording_adam_step)
         monkeypatch.setattr(khnet, "loss_and_gradients", recording_step)
