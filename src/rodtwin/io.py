@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
@@ -41,10 +42,12 @@ def _node_text(mesh: RodMesh) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 
 def _write_csv(path, header, columns):
-    """Write columns of field text (see _text) under header.
+    """Write columns under header: a tuple is a column of field text (see
+    _text) and is written as it is, anything else a numeric column.
 
     No field holds a comma, quote or line break, so these are the bytes that
     csv.writer writes: no quoting and \\r\\n after every row."""
+    columns = [c if isinstance(c, tuple) else _text(c) for c in columns]
     rows = map(",".join, zip(*columns))
     with open(path, "w", newline="") as f:
         f.write("\r\n".join((",".join(header), *rows)) + "\r\n")
@@ -60,7 +63,7 @@ def _read_csv(path, required):
     except (UnicodeDecodeError, csv.Error) as e:
         raise ConfigurationError(f"{path}: {type(e).__name__}: {e}") from e
     header, body = (rows[0], rows[1:]) if rows else ([], [])
-    repeated = sorted({h for h in header if header.count(h) > 1})
+    repeated = sorted(h for h, n in Counter(header).items() if n > 1)
     if repeated:
         raise ConfigurationError(f"{path}: repeated column(s) {', '.join(repeated)}")
     missing = [h for h in required if h not in header]
@@ -95,7 +98,7 @@ def _floats(path, cols, name) -> np.ndarray:
 def field_to_csv(field: TemperatureField, path) -> None:
     r, z = _node_text(field.mesh)
     _write_csv(path, ["r", "z", "region", "T"],
-               [r, z, field.mesh.node_table()[2], _text(field.flatten())])
+               [r, z, field.mesh.node_table()[2], field.flatten()])
 
 
 def field_arrays_from_csv(path):
@@ -127,16 +130,14 @@ def field_from_csv(path, mesh: RodMesh) -> TemperatureField:
 
 def channel_to_csv(state: ChannelState, path) -> None:
     _write_csv(path, ["z", "T_cool", "h", "P", "Re"],
-               [_text(c) for c in (state.z, state.T_cool, state.h, state.P,
-                                   state.Re)])
+               [state.z, state.T_cool, state.h, state.P, state.Re])
 
 
 def sensors_to_csv(sensors: SensorSet, path) -> None:
     n = sensors.z.size
     _write_csv(path, SENSOR_COLUMNS,
-               [_text(c) for c in (sensors.z, sensors.r, sensors.T,
-                                   sensors.T_inf, sensors.dhat, sensors.w,
-                                   np.full(n, sensors.eta))])
+               [sensors.z, sensors.r, sensors.T, sensors.T_inf, sensors.dhat,
+                sensors.w, np.full(n, sensors.eta)])
 
 
 def sensors_from_csv(path) -> SensorSet:
@@ -264,8 +265,7 @@ def load_checkpoint(path) -> KhModel:
 def history_to_csv(history: TrainHistory, path) -> None:
     epochs = np.arange(len(history.train_mse))
     _write_csv(path, ["epoch", "train_mse", "val_mse", "lr"],
-               [_text(c) for c in (epochs, history.train_mse, history.val_mse,
-                                   history.lr)])
+               [epochs, history.train_mse, history.val_mse, history.lr])
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +291,7 @@ def stress_field_to_csv(sf, path) -> None:
     sig_t = np.concatenate([sf.fuel_sigma_theta.ravel(),
                             sf.clad_sigma_theta.ravel()])
     _write_csv(path, ["r", "z", "sigma_r", "sigma_z", "sigma_theta"],
-               [r, z, _text(sig_r), _text(sig_z), _text(sig_t)])
+               [r, z, sig_r, sig_z, sig_t])
 
 
 def metrics_to_json(report, path) -> None:

@@ -242,25 +242,22 @@ def loss_and_gradients(model: KhModel, feats, u_n, dhat_n, w, y,
     """MSE loss and exact reverse-mode gradients for both stacks.
 
     feats (B, M, 5); u_n/dhat_n/w (B, M) per-sample sensor vectors; y (B,).
-    dtype is the compute precision: the inputs and a copy of theta are cast
-    to it (no copy for float64). With buffers, theta is copied into them and
-    their dtype is the compute precision. grad is a fresh float64 vector in
-    theta's layout; stack_views(grad) names it. theta is not changed.
+    theta is copied into buffers, whose dtype is the compute precision: the
+    inputs are cast to it. Without buffers, new StepBuffers(dtype) are made;
+    with them, dtype is unused. grad is a fresh float64 vector in theta's
+    layout; stack_views(grad) names it. theta is not changed.
     """
-    if buffers is not None:
-        dtype = buffers.theta.dtype
-        np.copyto(buffers.theta, model.theta)
-        stacks, grad, grads = buffers.stacks, buffers.grad, buffers.grads
-    else:
-        stacks = stack_views(model.theta.astype(dtype, copy=False))
-        grad = np.empty(N_PARAMS, dtype)
-        grads = stack_views(grad)
+    if buffers is None:
+        buffers = StepBuffers(dtype)
+    dtype = buffers.theta.dtype
+    np.copyto(buffers.theta, model.theta)
     feats, u_n, dhat_n, w, y = (np.asarray(a, dtype)
                                 for a in (feats, u_n, dhat_n, w, y))
     b, mcount, nf = feats.shape
     if b == 0:
         raise DomainError("empty batch")
     flat = feats.reshape(b * mcount, nf)
+    stacks, grads = buffers.stacks, buffers.grads
     g, cache_g = _dense_forward_cache(stacks[0], flat)
     dg, cache_d = _dense_forward_cache(stacks[1], flat)
     phi = u_n * dg.reshape(b, mcount) - g.reshape(b, mcount) * dhat_n
@@ -273,8 +270,8 @@ def loss_and_gradients(model: KhModel, feats, u_n, dhat_n, w, y,
 
     _dense_backward(stacks[0], cache_g, (-dphi * dhat_n).ravel(), grads[0])
     _dense_backward(stacks[1], cache_d, (dphi * u_n).ravel(), grads[1])
-    # a buffer is overwritten by the next call: the caller gets a copy
-    grad = grad.astype(np.float64, copy=buffers is not None)
+    # buffers are overwritten by the next call: the caller gets a copy
+    grad = buffers.grad.astype(np.float64)
     if not np.isfinite(grad).all():
         raise TrainingError("non-finite gradient encountered")
     return loss, grad

@@ -1,11 +1,9 @@
 """File formats: CSV/JSON round trips must be bit exact."""
 
 import csv
-import hashlib
 import json
 from dataclasses import replace
 from io import StringIO
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +22,6 @@ from rodtwin.khnet import (PARAM_KEYS, TrainHistory, kh_integrate,
 from rodtwin.mesh import CLAD, FUEL
 from rodtwin.metrics import compute_metrics
 from rodtwin.pipeline import NormConstants, SensorSet, burnup_sweep
-
-SWEEP_DIGESTS = Path(__file__).parent / "data" / "sweep_seed1234.sha256"
 
 
 def _rewrite_csv(path, edit):
@@ -79,6 +75,15 @@ class TestFieldCsv:
         with pytest.raises(ConfigurationError, match="repeated column.*r") as exc:
             field_arrays_from_csv(path)
         assert str(path) in str(exc.value)
+
+    def test_each_repeated_column_named_once(self, coupled20, tmp_path):
+        path = tmp_path / "field.csv"
+        field_to_csv(coupled20.field, path)
+        _rewrite_csv(path, lambda rows: [row + [row[3], row[1], row[3]]
+                                         for row in rows])
+        with pytest.raises(ConfigurationError,
+                           match=r"repeated column\(s\) T, z$"):
+            field_arrays_from_csv(path)
 
     def test_non_numeric_value_rejected(self, coupled20, tmp_path):
         path = tmp_path / "field.csv"
@@ -509,15 +514,25 @@ class TestWriterBytes:
         assert path.read_bytes() == _reference_csv(
             ["r", "z", "sigma_r", "sigma_z", "sigma_theta"], [r, z, *cols])
 
-    def test_seeded_sweep_files_match_recorded_digests(self, tmp_path):
-        # digests of the files written before the column writer replaced the
-        # per-value csv.writer loop (nominal config, seed 1234)
-        expected = dict(line.split()[::-1]
-                        for line in SWEEP_DIGESTS.read_text().splitlines())
+    def test_seeded_sweep_files_match_the_reference(self, tmp_path):
+        # every case file of a seeded 30-case sweep against the csv.writer
+        # reference of the same arrays, so the check holds on any machine
         ds = burnup_sweep(30, (2.4, 59.7), 1234, TwinConfig())
         save_dataset(ds, tmp_path)
-        got = {p.relative_to(tmp_path).as_posix():
-               hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in tmp_path.rglob("*") if p.is_file()}
-        assert len(expected) == 91
-        assert got == expected
+        written = {p.relative_to(tmp_path).as_posix()
+                   for p in tmp_path.rglob("*") if p.is_file()}
+        assert written == {"manifest.json"} | {
+            f"cases/{c.spec.case_id}/{name}.csv" for c in ds.cases
+            for name in ("field", "channel", "sensors")}
+        r, z, region = mesh_from_config(ds.config).node_table()
+        for c in ds.cases:
+            d = tmp_path / "cases" / c.spec.case_id
+            ch, s = c.solution.channel, c.sensors
+            assert (d / "field.csv").read_bytes() == _reference_csv(
+                ["r", "z", "region", "T"], [r, z, region, c.T])
+            assert (d / "channel.csv").read_bytes() == _reference_csv(
+                ["z", "T_cool", "h", "P", "Re"],
+                [ch.z, ch.T_cool, ch.h, ch.P, ch.Re])
+            assert (d / "sensors.csv").read_bytes() == _reference_csv(
+                SENSOR_COLUMNS, [s.z, s.r, s.T, s.T_inf, s.dhat, s.w,
+                                 np.full(s.z.size, s.eta)])
