@@ -129,12 +129,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep_burnup(args) -> int:
     cfg = _load_cfg(args)
-    out = _out_dir(args)
     seed = args.seed if args.seed is not None else 0
-    ds = burnup_sweep(args.n_cases, (args.burnup_min, args.burnup_max), seed, cfg)
-    rio.save_dataset(ds, out / "dataset")
     settings = dataclasses.replace(
         cfg.training, epochs=args.epochs, fixed_lr=args.lr, seed=seed)
+    out = _out_dir(args)
+    ds = burnup_sweep(args.n_cases, (args.burnup_min, args.burnup_max), seed, cfg)
+    rio.save_dataset(ds, out / "dataset")
     model, history = train(ds, settings)
     rio.save_checkpoint(model, out / "checkpoint.json")
     rio.history_to_csv(history, out / "history.csv")
@@ -154,14 +154,23 @@ def cmd_sweep_burnup(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises where argparse would print usage and exit, so main() reports
+    a usage error as one JSON error object like any other failure."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="rodtwin",
-                                description="PWR fuel rod digital twin toolkit")
+    p = _Parser(prog="rodtwin", description="PWR fuel rod digital twin toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, out_required=True):
-        sp.add_argument("--config", help="JSON case file (defaults when omitted)")
-        sp.add_argument("--seed", type=int, default=None)
+    def common(sp, config=True, seed=False, out_required=True):
+        if config:
+            sp.add_argument("--config", help="JSON case file (defaults when omitted)")
+        if seed:
+            sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out-dir", default=None if not out_required else ".",
                         help="output directory")
 
@@ -170,11 +179,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("generate", help="generate the roster dataset")
-    common(sp)
+    common(sp, seed=True)
     sp.set_defaults(func=cmd_generate)
 
     sp = sub.add_parser("train", help="train the reconstruction network")
-    common(sp)
+    common(sp, config=False, seed=True)
     sp.add_argument("--dataset", required=True, help="dataset directory")
     sp.add_argument("--epochs", type=int, default=None)
     sp.set_defaults(func=cmd_train)
@@ -192,13 +201,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_strain)
 
     sp = sub.add_parser("evaluate", help="compare two field CSVs")
-    common(sp, out_required=False)
+    common(sp, config=False, out_required=False)
     sp.add_argument("predicted")
     sp.add_argument("truth")
     sp.set_defaults(func=cmd_evaluate)
 
     sp = sub.add_parser("sweep-burnup", help="burnup sweep: dataset + training + metrics")
-    common(sp)
+    common(sp, seed=True)
     sp.add_argument("--n-cases", type=int, default=30)
     sp.add_argument("--burnup-min", type=float, default=2.4)
     sp.add_argument("--burnup-max", type=float, default=59.7)
@@ -214,9 +223,8 @@ def _emit_error(kind: str, exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code
@@ -225,6 +233,9 @@ def main(argv=None) -> int:
         # devnull keeps the interpreter's last flush from raising again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
+    except argparse.ArgumentError as e:
+        _emit_error("usage", e)
+        return EXIT_USAGE
     except FileNotFoundError as e:
         _emit_error("missing-file", e)
         return EXIT_MISSING

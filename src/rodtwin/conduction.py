@@ -28,16 +28,10 @@ PICARD_MAX_ITER = 200
 COOLANT_RELAX = 0.7    # under-relaxation on the re-marched T_cool
 
 
-@dataclass(frozen=True)
-class VolumetricSource:
-    """Volumetric heating per fuel axial row [W/m^3], uniform radially."""
-
-    qppp: np.ndarray  # (nz_fuel,)
-
-    @classmethod
-    def from_heat_source(cls, src, geom, mesh: RodMesh) -> "VolumetricSource":
-        qp = linear_heat_rate(mesh.z_fuel, src, geom)
-        return cls(qppp=qp / (np.pi * geom.R_fo ** 2))
+def from_heat_source(src, mesh: RodMesh) -> np.ndarray:
+    """Volumetric heating [W/m^3] per fuel axial row, uniform radially."""
+    qp = linear_heat_rate(mesh.z_fuel, src, mesh.geom)
+    return qp / (np.pi * mesh.geom.R_fo ** 2)
 
 
 @dataclass(frozen=True)
@@ -45,25 +39,36 @@ class TemperatureField:
     mesh: RodMesh
     T_fuel: np.ndarray  # (nz_fuel, nr_fuel)
     T_clad: np.ndarray  # (nz, nr_clad)
-    picard_iterations: int = 0
-    picard_residuals: tuple = ()
-    coolant: ChannelState | None = None  # Robin boundary of the last solve
 
     def flatten(self) -> np.ndarray:
         """Node temperatures in the mesh's canonical node order."""
         return np.concatenate([self.T_fuel.ravel(), self.T_clad.ravel()])
 
     @classmethod
-    def from_flat(cls, mesh: RodMesh, T: np.ndarray, **fields) -> "TemperatureField":
-        """Inverse of flatten; the other fields are passed by keyword."""
+    def from_flat(cls, mesh: RodMesh, T: np.ndarray) -> "TemperatureField":
+        """Inverse of flatten."""
         nf = mesh.n_fuel_nodes
         return cls(mesh=mesh, T_fuel=T[:nf].reshape(mesh.nz_fuel, mesh.nr_fuel),
-                   T_clad=T[nf:].reshape(mesh.nz, mesh.nr_clad), **fields)
+                   T_clad=T[nf:].reshape(mesh.nz, mesh.nr_clad))
 
     @property
     def wall(self) -> np.ndarray:
         """Cladding outer-surface temperature per axial node."""
         return self.T_clad[:, -1]
+
+
+@dataclass(frozen=True)
+class CoupledSolution:
+    """One solve: the field, its Robin coolant and max |dT| per Picard sweep."""
+
+    field: TemperatureField
+    channel: ChannelState
+    iterations: int
+    residual_trace: tuple
+
+    @property
+    def residual(self) -> float:
+        return self.residual_trace[-1]
 
 
 def _cv_edges(x: np.ndarray) -> np.ndarray:
@@ -144,22 +149,22 @@ _face_table = lru_cache(maxsize=16)(_FaceTable)  # one per (mesh, h_gap)
 
 
 def assemble_and_solve_conduction(mesh: RodMesh, m: MaterialParams,
-                                  src: VolumetricSource, coolant: ChannelState,
+                                  qppp: np.ndarray, coolant: ChannelState,
                                   burnup: float = 0.0,
                                   channel: ChannelBoundary | None = None
-                                  ) -> TemperatureField:
+                                  ) -> CoupledSolution:
     """Solve div(k grad T) + q''' = 0 over pellet and cladding.
 
     Picard-iterates the conductivity nonlinearity to max|dT| < 0.01 K
     (<= 200 sweeps) with a banded Cholesky factorization per sweep. Given
     ``channel``, each sweep then re-marches the coolant from the new wall
     heat flux, under-relaxed, so the loop is also the rod-channel fixed
-    point; the field keeps the coolant of its last solve.
+    point. The record's ``channel`` is the coolant of the last solve.
     """
     faces = _face_table(mesh, m.h_gap)
     nf = mesh.n_fuel_nodes
     b_src = np.zeros(mesh.n_nodes)
-    b_src[:nf] = np.outer(src.qppp * np.diff(_cv_edges(mesh.z_fuel)),
+    b_src[:nf] = np.outer(qppp * np.diff(_cv_edges(mesh.z_fuel)),
                           np.pi * np.diff(_cv_edges(mesh.r_fuel) ** 2)).ravel()
     robin_area = 2.0 * np.pi * mesh.geom.R_co * np.diff(_cv_edges(mesh.z))
 
@@ -183,9 +188,8 @@ def assemble_and_solve_conduction(mesh: RodMesh, m: MaterialParams,
         residuals.append(float(np.abs(T_new - T).max()))
         T = T_new
         if residuals[-1] < PICARD_TOL:
-            return TemperatureField.from_flat(
-                mesh, T, picard_iterations=it + 1,
-                picard_residuals=tuple(residuals), coolant=coolant)
+            return CoupledSolution(TemperatureField.from_flat(mesh, T), coolant,
+                                   it + 1, tuple(residuals))
         if channel is not None:
             fresh = solve_channel(mesh.z, h_conv * (T[faces.robin] - T_cool), channel)
             coolant = replace(fresh, T_cool=COOLANT_RELAX * fresh.T_cool

@@ -62,6 +62,8 @@ class TrainSettings:
 
     def __post_init__(self):
         _require_ints(self, ("epochs", "batch_size", "seed"))
+        if self.epochs < 1:
+            raise ConfigurationError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
         thresholds = [t for t, _ in self.schedule]

@@ -278,8 +278,7 @@ def strain_report_to_json(report, path) -> None:
             "elastic_hoop_strain": report.elastic,
             "irradiation_growth_hoop_strain": report.irradiation_growth,
             "total_hoop_strain": report.total,
-            "location": {"r": report.location[0], "z": report.location[1]},
-            "run_time_s": report.run_time}
+            "location": {"r": report.location[0], "z": report.location[1]}}
     with open(path, "w") as f:
         json.dump(blob, f, indent=2)
 

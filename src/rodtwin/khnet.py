@@ -237,18 +237,18 @@ class StepBuffers:
         self.grads = stack_views(self.grad)
 
 
-def loss_and_gradients(model: KhModel, feats, u_n, dhat_n, w, y,
-                       dtype=np.float64, *, buffers: StepBuffers | None = None):
+def loss_and_gradients(model: KhModel, feats, u_n, dhat_n, w, y, *,
+                       buffers: StepBuffers | None = None):
     """MSE loss and exact reverse-mode gradients for both stacks.
 
     feats (B, M, 5); u_n/dhat_n/w (B, M) per-sample sensor vectors; y (B,).
     theta is copied into buffers, whose dtype is the compute precision: the
-    inputs are cast to it. Without buffers, new StepBuffers(dtype) are made;
-    with them, dtype is unused. grad is a fresh float64 vector in theta's
-    layout; stack_views(grad) names it. theta is not changed.
+    inputs are cast to it. Without buffers, new float64 StepBuffers are
+    made. grad is a fresh float64 vector in theta's layout; stack_views(grad)
+    names it. theta is not changed.
     """
     if buffers is None:
-        buffers = StepBuffers(dtype)
+        buffers = StepBuffers(np.float64)
     dtype = buffers.theta.dtype
     np.copyto(buffers.theta, model.theta)
     feats, u_n, dhat_n, w, y = (np.asarray(a, dtype)

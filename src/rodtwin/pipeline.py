@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelState, uniform_channel_state
-from .conduction import (TemperatureField, VolumetricSource,
-                         assemble_and_solve_conduction)
+from .channel import uniform_channel_state
+from .conduction import (CoupledSolution, assemble_and_solve_conduction,
+                         from_heat_source)
 from .config import TwinConfig
 from .core import HeatSource
 from .errors import ConfigurationError, DomainError, SolverError
@@ -40,15 +40,6 @@ class CaseSpec:
                 f"q0={self.q0} W/m outside the admissible [{Q0_MIN}, {Q0_MAX}] band")
         if self.burnup < 0.0:
             raise ConfigurationError("burnup must be >= 0")
-
-
-@dataclass(frozen=True)
-class CoupledSolution:
-    field: TemperatureField
-    channel: ChannelState
-    iterations: int
-    residual: float
-    residual_trace: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -116,19 +107,14 @@ class Dataset:
 def couple_rod_channel(spec: CaseSpec, cfg: TwinConfig) -> CoupledSolution:
     """Rod conduction and channel march converged in one Picard loop.
 
-    See ``assemble_and_solve_conduction``; ``iterations``, ``residual`` and
-    ``residual_trace`` are that loop's (max |dT| over the field < 0.01 K).
+    Returns ``assemble_and_solve_conduction``'s record: ``residual`` is the
+    loop's last max |dT| over the field (< 0.01 K).
     """
     mesh, bc = mesh_from_config(cfg), cfg.channel
-    src = HeatSource(q0=spec.q0, delta_e=cfg.delta_e)
-    vs = VolumetricSource.from_heat_source(src, cfg.geometry, mesh)
-    field = assemble_and_solve_conduction(mesh, cfg.materials, vs,
-                                          uniform_channel_state(mesh.z, bc),
-                                          spec.burnup, channel=bc)
-    return CoupledSolution(field=field, channel=field.coolant,
-                           iterations=field.picard_iterations,
-                           residual=field.picard_residuals[-1],
-                           residual_trace=field.picard_residuals)
+    qppp = from_heat_source(HeatSource(q0=spec.q0, delta_e=cfg.delta_e), mesh)
+    return assemble_and_solve_conduction(mesh, cfg.materials, qppp,
+                                         uniform_channel_state(mesh.z, bc),
+                                         spec.burnup, channel=bc)
 
 
 def extract_sensors(solution: CoupledSolution, z_locations, eta: float,

@@ -9,7 +9,6 @@ zero.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,6 @@ class StrainReport:
     irradiation_growth: float  # always 0 in the simplified model [-]
     total: float
     location: tuple        # (r, z) of evaluation [m]
-    run_time: float        # wall-clock [s]
 
 
 @dataclass(frozen=True)
@@ -117,7 +115,6 @@ def hoop_strain_summary(field: TemperatureField, m: MaterialParams,
     (temperature-induced) slice stresses so each component isolates a thermal
     mechanism, mirroring the simplified-model decomposition.
     """
-    t0 = time.perf_counter()
     mesh = field.mesh
     j = int(np.argmax(field.T_clad.max(axis=1)))
     T_slice = field.T_clad[j]
@@ -135,8 +132,7 @@ def hoop_strain_summary(field: TemperatureField, m: MaterialParams,
     total = thermal + creep + elastic
     return StrainReport(thermal=thermal, creep=creep, elastic=elastic,
                         irradiation_growth=0.0, total=total,
-                        location=(float(mesh.r_clad[-1]), float(mesh.z[j])),
-                        run_time=time.perf_counter() - t0)
+                        location=(float(mesh.r_clad[-1]), float(mesh.z[j])))
 
 
 def stress_field(field: TemperatureField, P_gap: float, P_cool: float,

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rodtwin.cli import (EXIT_CONFIG, EXIT_MISSING, EXIT_OK, main)
+from rodtwin.cli import (EXIT_CONFIG, EXIT_MISSING, EXIT_OK, EXIT_USAGE,
+                         main)
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +133,15 @@ class TestPipelineChain:
         assert strain["total_hoop_strain"] != 0.0
         assert (strain_dir / "stress.csv").exists()
 
+    def test_strain_is_deterministic(self, tiny_cfg_path, tiny_run, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert main(["strain", "--config", tiny_cfg_path,
+                         "--field", str(tiny_run / "field.csv"),
+                         "--out-dir", str(out)]) == EXIT_OK
+        for name in ("strain.json", "stress.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
     def test_generate_is_deterministic(self, tiny_cfg_path, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -211,16 +221,69 @@ class TestEvaluate:
         assert err == ""
 
 
+def _assert_usage_error(argv, needle):
+    rc, err = _assert_one_error_object(argv)
+    assert rc == EXIT_USAGE
+    assert (err["error"], err["type"]) == ("usage", "ArgumentError")
+    assert needle in err["message"]
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--frobnicate"])
-        assert exc.value.code == 2
+        _assert_usage_error(["simulate", "--frobnicate"], "--frobnicate")
 
     def test_unknown_subcommand_is_usage_error(self):
+        _assert_usage_error(["transmogrify"], "transmogrify")
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["train", "--dataset", "ds", "--config", "other.json"], "--config"),
+        (["evaluate", "a.csv", "b.csv", "--config", "c.json"], "--config"),
+        (["simulate", "--seed", "1"], "--seed"),
+        (["reconstruct", "--checkpoint", "c", "--sensors", "s", "--seed", "1"],
+         "--seed"),
+        (["strain", "--field", "f.csv", "--seed", "1"], "--seed"),
+        (["evaluate", "a.csv", "b.csv", "--seed", "1"], "--seed"),
+        (["train", "--dataset", "ds", "--epochs", "two"], "two"),
+        (["train"], "--dataset"),
+        ([], "command"),
+    ])
+    def test_usage_errors_are_one_error_object(self, argv, needle):
+        _assert_usage_error(argv, needle)
+
+    def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["transmogrify"])
-        assert exc.value.code == 2
+            main(["train", "--help"])
+        assert exc.value.code == 0
+        assert "--dataset" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("epochs", ["0", "-3"])
+    def test_train_rejects_fewer_than_one_epoch(self, tiny_model, tmp_path,
+                                                 epochs):
+        rc, err = _assert_one_error_object(
+            ["train", "--dataset", str(tiny_model / "ds"), "--epochs", epochs,
+             "--out-dir", str(tmp_path / "m")])
+        assert rc == EXIT_CONFIG
+        assert err["type"] == "ConfigurationError"
+        assert "epochs" in err["message"]
+        assert not (tmp_path / "m").exists()
+
+    def test_sweep_rejects_zero_epochs_before_writing(self, tiny_cfg_path,
+                                                       tmp_path):
+        rc, err = _assert_one_error_object(
+            ["sweep-burnup", "--config", tiny_cfg_path, "--n-cases", "10",
+             "--epochs", "0", "--out-dir", str(tmp_path / "sweep")])
+        assert rc == EXIT_CONFIG
+        assert err["type"] == "ConfigurationError"
+        assert not (tmp_path / "sweep").exists()
+
+    def test_config_rejects_zero_epochs(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"training": {"epochs": 0}}))
+        rc, err = _assert_one_error_object(
+            ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "epochs must be >= 1" in err["message"]
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -492,7 +555,9 @@ def _assert_one_error_object(argv):
     assert rc in (2, 3, 4, 5)
     lines = err.getvalue().splitlines()
     assert len(lines) == 1
-    assert set(json.loads(lines[0])) == {"error", "type", "message"}
+    obj = json.loads(lines[0])
+    assert set(obj) == {"error", "type", "message"}
+    return rc, obj
 
 
 class TestSensorsFuzz:

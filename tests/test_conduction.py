@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from rodtwin.channel import uniform_channel_state
-from rodtwin.conduction import (VolumetricSource, _FaceTable,
-                                assemble_and_solve_conduction, wall_heat_flux)
+from rodtwin.conduction import (_FaceTable, assemble_and_solve_conduction,
+                                from_heat_source, wall_heat_flux)
 from rodtwin.core import (ChannelBoundary, HeatSource, MaterialParams,
                           RodGeometry, integrated_rod_power)
 from rodtwin.errors import SolverError
@@ -18,13 +18,13 @@ QP = 20e3  # linear heat rate used by the closed-form checks [W/m]
 
 
 def _uniform_source(mesh):
-    return VolumetricSource(qppp=np.full(mesh.nz_fuel, QP / (np.pi * GEOM.R_fo ** 2)))
+    return np.full(mesh.nz_fuel, QP / (np.pi * GEOM.R_fo ** 2))
 
 
 def _solve(mesh, m, src=None):
     coolant = uniform_channel_state(mesh.z, BC)
     src = src if src is not None else _uniform_source(mesh)
-    return assemble_and_solve_conduction(mesh, m, src, coolant)
+    return assemble_and_solve_conduction(mesh, m, src, coolant).field
 
 
 class TestAnalyticChecks:
@@ -66,28 +66,30 @@ class TestAnalyticChecks:
 class TestDegenerateAndInvariants:
     def test_zero_source_relaxes_to_coolant(self):
         mesh = build_rod_mesh(GEOM, nr_fuel=6, nz=40, nr_clad=3)
-        src = VolumetricSource(qppp=np.zeros(mesh.nz_fuel))
+        src = np.zeros(mesh.nz_fuel)
         field = _solve(mesh, MAT, src)
         assert np.abs(field.T_fuel - BC.T_in).max() < 1e-6
         assert np.abs(field.T_clad - BC.T_in).max() < 1e-6
 
     def test_picard_converges_and_reports(self):
         mesh = build_rod_mesh(GEOM, nr_fuel=6, nz=30, nr_clad=3)
-        src = VolumetricSource.from_heat_source(HeatSource(q0=20e3), GEOM, mesh)
-        field = _solve(mesh, MAT, src)
-        assert field.picard_iterations == len(field.picard_residuals)
-        assert field.picard_residuals[-1] < 0.01
+        src = from_heat_source(HeatSource(q0=20e3), mesh)
+        coolant = uniform_channel_state(mesh.z, BC)
+        sol = assemble_and_solve_conduction(mesh, MAT, src, coolant)
+        assert sol.iterations == len(sol.residual_trace)
+        assert sol.residual == sol.residual_trace[-1] < 0.01
+        assert sol.channel is coolant
 
     def test_maximum_inside_fuel(self):
         mesh = build_rod_mesh(GEOM, nr_fuel=6, nz=30, nr_clad=3)
-        src = VolumetricSource.from_heat_source(HeatSource(q0=20e3), GEOM, mesh)
+        src = from_heat_source(HeatSource(q0=20e3), mesh)
         field = _solve(mesh, MAT, src)
         assert field.T_fuel.max() > field.T_clad.max()
         assert field.flatten().min() >= BC.T_in - 1.0
 
     def test_monotone_radial_profile_in_fuel(self):
         mesh = build_rod_mesh(GEOM, nr_fuel=8, nz=30, nr_clad=3)
-        src = VolumetricSource.from_heat_source(HeatSource(q0=20e3), GEOM, mesh)
+        src = from_heat_source(HeatSource(q0=20e3), mesh)
         field = _solve(mesh, MAT, src)
         assert np.all(np.diff(field.T_fuel, axis=1) <= 0.0)
 
@@ -167,28 +169,28 @@ class TestWallFlux:
     def test_zero_source_gives_zero_flux(self):
         mesh = build_rod_mesh(GEOM, nr_fuel=5, nz=20, nr_clad=3)
         coolant = uniform_channel_state(mesh.z, BC)
-        src = VolumetricSource(qppp=np.zeros(mesh.nz_fuel))
-        field = assemble_and_solve_conduction(mesh, MAT, src, coolant)
+        src = np.zeros(mesh.nz_fuel)
+        field = assemble_and_solve_conduction(mesh, MAT, src, coolant).field
         assert np.abs(wall_heat_flux(field, coolant)).max() < 1e-3
 
     def test_flux_nonnegative_for_heated_rod(self):
         mesh = build_rod_mesh(GEOM, nr_fuel=6, nz=30, nr_clad=3)
         coolant = uniform_channel_state(mesh.z, BC)
-        src = VolumetricSource.from_heat_source(HeatSource(q0=20e3), GEOM, mesh)
-        field = assemble_and_solve_conduction(mesh, MAT, src, coolant)
+        src = from_heat_source(HeatSource(q0=20e3), mesh)
+        field = assemble_and_solve_conduction(mesh, MAT, src, coolant).field
         assert np.all(wall_heat_flux(field, coolant) >= -1e-9)
 
     def test_energy_closure(self):
         src_law = HeatSource(q0=20e3)
         mesh = build_rod_mesh(GEOM, nr_fuel=11, nz=100, nr_clad=4)
         coolant = uniform_channel_state(mesh.z, BC)
-        src = VolumetricSource.from_heat_source(src_law, GEOM, mesh)
-        field = assemble_and_solve_conduction(mesh, MAT, src, coolant)
+        src = from_heat_source(src_law, mesh)
+        field = assemble_and_solve_conduction(mesh, MAT, src, coolant).field
         q = wall_heat_flux(field, coolant)
         out = np.trapezoid(q * 2.0 * np.pi * GEOM.R_co, mesh.z)
         assert out == pytest.approx(integrated_rod_power(src_law, GEOM), rel=0.01)
         # tighter balance against the discrete source actually injected
-        injected = float(np.sum(src.qppp * np.pi * GEOM.R_fo ** 2
+        injected = float(np.sum(src * np.pi * GEOM.R_fo ** 2
                                 * _cv_heights(mesh.z_fuel)))
         assert out == pytest.approx(injected, rel=0.005)
 

@@ -26,6 +26,11 @@ class TestDefaults:
         with pytest.raises(ConfigurationError):
             TrainSettings(batch_size=0)
 
+    @pytest.mark.parametrize("epochs", [0, -3])
+    def test_fewer_than_one_epoch_rejected(self, epochs):
+        with pytest.raises(ConfigurationError, match="epochs must be >= 1"):
+            TrainSettings(epochs=epochs)
+
     def test_bad_tinf_policy_rejected(self):
         from rodtwin.config import SensorConfig
         with pytest.raises(ConfigurationError):

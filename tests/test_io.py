@@ -394,6 +394,10 @@ class TestReports:
         path = tmp_path / "strain.json"
         strain_report_to_json(rep, path)
         blob = json.loads(path.read_text())
+        assert set(blob) == {"thermal_expansion_hoop_strain",
+                             "creep_hoop_strain", "elastic_hoop_strain",
+                             "irradiation_growth_hoop_strain",
+                             "total_hoop_strain", "location"}
         assert blob["total_hoop_strain"] == rep.total
         assert blob["irradiation_growth_hoop_strain"] == 0.0
 

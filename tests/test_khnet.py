@@ -629,8 +629,8 @@ class TestMixedPrecision:
         for seed, ref in enumerate(self.FLOAT64_REFERENCE):
             model, batch = _criterion4_case(seed)
             loss, grad = loss_and_gradients(model, *batch)
-            loss64, grad64 = loss_and_gradients(model, *batch,
-                                                dtype=np.float64)
+            loss64, grad64 = loss_and_gradients(
+                model, *batch, buffers=StepBuffers(np.float64))
             assert loss == loss64
             np.testing.assert_array_equal(grad, grad64)
             assert grad.dtype == np.float64
@@ -644,8 +644,8 @@ class TestMixedPrecision:
         for seed in range(5):
             model, batch = _criterion4_case(seed)
             loss64, grad64 = loss_and_gradients(model, *batch)
-            loss32, grad32 = loss_and_gradients(model, *batch,
-                                                dtype=np.float32)
+            loss32, grad32 = loss_and_gradients(
+                model, *batch, buffers=StepBuffers(np.float32))
             assert abs(loss32 - loss64) <= 1e-6 * loss64
             for s32, s64 in zip(stack_views(grad32), stack_views(grad64)):
                 for k in PARAM_KEYS:
@@ -655,7 +655,8 @@ class TestMixedPrecision:
     def test_float32_call_leaves_theta_alone(self):
         model, batch = _criterion4_case(0)
         before = model.theta.tobytes()
-        _, grad = loss_and_gradients(model, *batch, dtype=np.float32)
+        _, grad = loss_and_gradients(model, *batch,
+                                     buffers=StepBuffers(np.float32))
         assert model.theta.tobytes() == before
         assert model.theta.dtype == np.float64
         assert grad.dtype == np.float64 and grad.shape == (N_PARAMS,)
@@ -669,7 +670,8 @@ class TestMixedPrecision:
         for seed in range(5):
             model, batch = _criterion4_case(seed)
             before = model.theta.tobytes()
-            loss, grad = loss_and_gradients(model, *batch, dtype=dtype)
+            loss, grad = loss_and_gradients(model, *batch,
+                                            buffers=StepBuffers(dtype))
             loss_b, grad_b = loss_and_gradients(model, *batch, buffers=buffers)
             assert loss_b == loss
             assert grad_b.dtype == np.float64
