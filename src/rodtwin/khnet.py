@@ -7,9 +7,9 @@ layer contracts it with fixed boundary quadrature weights to give the
 normalized temperature estimate at i. Training is plain minibatch Adam on MSE
 with hand-written reverse-mode gradients; no autodiff framework.
 
-Both stacks live in one flat vector ``KhModel.theta`` with named per-layer
-views; gradients share its layout, so Adam is a few vector operations.
-Checkpoints stay per-layer JSON.
+``KhModel.theta`` holds both stacks layer by layer, each layer one (2, fan_in,
+fan_out) weight and one (2, fan_out) bias ([0] G, [1] dG), so one stacked pass
+runs both; gradients share its layout, so Adam is a few vector operations.
 
 Training is mixed precision (Micikevicius et al. 2018): the stacks' forward
 and backward passes run in float32 on a per-step copy of theta, while theta,
@@ -32,18 +32,18 @@ from .mesh import RodMesh
 from .pipeline import Dataset, NormConstants, SensorSet
 
 LAYER_SIZES = (5, 128, 64, 1)
-# one stack's parameters in theta order
+# one stack's parameters in theta order; theta holds each one for both stacks
 PARAM_SHAPES = {f"{kind}{li + 1}": shape
                 for li, (fan_in, fan_out) in enumerate(zip(LAYER_SIZES,
                                                            LAYER_SIZES[1:]))
                 for kind, shape in (("W", (fan_in, fan_out)), ("b", (fan_out,)))}
 PARAM_KEYS = tuple(PARAM_SHAPES)
-_BOUNDS = list(accumulate((math.prod(s) for s in PARAM_SHAPES.values()),
+_BOUNDS = list(accumulate((2 * math.prod(s) for s in PARAM_SHAPES.values()),
                           initial=0))
-STACK_SIZE = _BOUNDS[-1]
-N_PARAMS = 2 * STACK_SIZE
+N_PARAMS = _BOUNDS[-1]
 
 TRAIN_DTYPE = np.float32   # compute precision of the stacks in train()
+FORWARD_ROWS = 2048   # rows per dense_forward pass: bounds its peak memory
 
 DIVERGENCE_FACTOR = 10.0
 DIVERGENCE_PATIENCE = 50
@@ -60,50 +60,57 @@ def init_stack(rng: np.random.Generator) -> dict:
                         size=shape) for k, shape in PARAM_SHAPES.items()}
 
 
-def stack_views(flat: np.ndarray) -> tuple[dict, dict]:
-    """(G, dG) dicts of named per-layer views into a vector in theta's layout."""
-    return tuple({k: flat[o + lo:o + hi].reshape(shape)
-                  for (k, shape), lo, hi in zip(PARAM_SHAPES.items(), _BOUNDS,
-                                                _BOUNDS[1:])}
-                 for o in (0, STACK_SIZE))
+def stack_views(flat: np.ndarray) -> dict:
+    """Named per-layer (2, ...) views into a vector in theta's layout; [0] of
+    each is the G stack's array and [1] the dG stack's."""
+    return {k: flat[lo:hi].reshape(2, *shape)
+            for (k, shape), lo, hi in zip(PARAM_SHAPES.items(), _BOUNDS,
+                                          _BOUNDS[1:])}
 
 
-def _check_stack(params: dict, name: str = "stack") -> None:
-    """Raise ShapeError unless params has exactly the LAYER_SIZES layers."""
+def _check_stack(params: dict, name: str = "stack", lead=()) -> None:
+    """Raise ShapeError unless params has exactly the LAYER_SIZES layers, each
+    with the leading stack shape lead (None: the one of W1)."""
     shapes = ({k: np.shape(v) for k, v in params.items()}
-              if isinstance(params, dict) else type(params).__name__)
-    if shapes != PARAM_SHAPES:
-        raise ShapeError(f"{name} shapes {shapes}, expected {PARAM_SHAPES}")
+              if isinstance(params, dict) else {})
+    if lead is None:
+        lead = shapes.get("W1", ())[:-2]
+    expected = {k: lead + shape for k, shape in PARAM_SHAPES.items()}
+    if shapes != expected:
+        raise ShapeError(f"{name} shapes {shapes}, expected {expected}")
 
 
 def dense_forward(params: dict, x) -> np.ndarray:
-    """y = W3.tanh(W2.tanh(W1 x + b1) + b2) + b3 (linear output)."""
+    """y = W3.tanh(W2.tanh(W1 x + b1) + b2) + b3 (linear output), for one
+    stack or for a stacked block: x (n, 5) -> (..., n)."""
     x = np.atleast_2d(np.asarray(x, float))
-    _check_stack(params)
+    _check_stack(params, lead=None)
     if x.shape[1] != LAYER_SIZES[0]:
         raise ShapeError(f"expected {LAYER_SIZES[0]} features, got {x.shape[1]}")
-    return _dense_forward_cache(params, x)[0]
+    return np.concatenate([_dense_forward_cache(params, x[i:i + FORWARD_ROWS])[0]
+                           for i in range(0, max(len(x), 1), FORWARD_ROWS)], -1)
 
 
 def _dense_forward_cache(params: dict, x: np.ndarray):
     acts = [x]
     for li in (1, 2, 3):
         z = acts[-1] @ params[f"W{li}"]
-        z += params[f"b{li}"]
+        z += params[f"b{li}"][..., None, :]
         acts.append(np.tanh(z, out=z) if li < 3 else z)
-    return acts.pop().ravel(), acts
+    return acts.pop()[..., 0], acts
 
 
 def _dense_backward(params: dict, acts, dy: np.ndarray, grads: dict) -> None:
-    """Write the stack's gradients into the views grads; overwrites acts."""
-    dz = dy[:, None]
+    """Write the gradients of params, one stack or a stacked block with the
+    leading axes of dy (..., n), into the views grads; overwrites acts."""
+    dz = dy[..., None]
     for li in (3, 2, 1):
         a = acts[li - 1]
-        np.matmul(a.T, dz, out=grads[f"W{li}"])
-        dz.sum(axis=0, out=grads[f"b{li}"])
+        np.matmul(a.swapaxes(-1, -2), dz, out=grads[f"W{li}"])
+        dz.sum(axis=-2, out=grads[f"b{li}"])
         if li > 1:
-            w_t = params[f"W{li}"].T     # one column: outer product, no GEMM
-            dz = dz * w_t if dz.shape[1] == 1 else dz @ w_t
+            w_t = params[f"W{li}"].swapaxes(-1, -2)  # one column: no GEMM
+            dz = dz * w_t if dz.shape[-1] == 1 else dz @ w_t
             np.multiply(a, a, out=a)     # tanh' = 1 - a^2, in place
             np.subtract(1.0, a, out=a)
             dz *= a
@@ -163,33 +170,36 @@ class KhModel:
     norm: NormConstants
     eta: float
     theta: np.ndarray = field(init=False, repr=False, compare=False)
-    # (key, (G, dG)) of the last layout_kernels call; see there
+    # (key, kernels) of the last layout_kernels call; see there
     _layout: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
 
     def __post_init__(self):
+        _check_stack(self.G_stack, "G")
+        _check_stack(self.dG_stack, "dG")
         self.theta = np.empty(N_PARAMS)
-        views = stack_views(self.theta)
-        for name, given, view in zip(("G", "dG"), (self.G_stack, self.dG_stack),
-                                     views):
-            _check_stack(given, name)
-            for k in PARAM_KEYS:
-                view[k][...] = given[k]
-        self.G_stack, self.dG_stack = views
+        stacks = stack_views(self.theta)
+        for k, view in stacks.items():
+            view[...] = (self.G_stack[k], self.dG_stack[k])
+        if not np.isfinite(self.theta).all():
+            raise ConfigurationError("non-finite G or dG stack weight")
+        self.G_stack = {k: v[0] for k, v in stacks.items()}
+        self.dG_stack = {k: v[1] for k, v in stacks.items()}
 
     def kernels(self, feats):
-        """G and dG at every (point, sensor) pair; feats (N, M, 5) -> (N, M)."""
+        """G and dG at every (point, sensor) pair: feats (N, M, 5) ->
+        (2, N, M), [0] G and [1] dG, from one stacked dense pass."""
         flat = feats.reshape(-1, feats.shape[2])
-        return tuple(dense_forward(s, flat).reshape(feats.shape[:2])
-                     for s in (self.G_stack, self.dG_stack))
+        return dense_forward(stack_views(self.theta), flat).reshape(
+            2, *feats.shape[:2])
 
     def layout_kernels(self, points, sensors_rz):
         """kernels(boundary_features(points, sensors_rz, norm)), kept for the
         last layout: reused while theta and the float64 point (N, 2) and
         sensor (M, 2) arrays are the same bytes and norm compares equal.
         Sensor readings are no input, so a stream of snapshots from fixed
-        thermocouples runs the dense stacks once. The arrays returned are
-        read-only."""
+        thermocouples runs the dense stacks once. The (2, N, M) array
+        returned is read-only."""
         points = np.asarray(points, float)
         sensors_rz = np.asarray(sensors_rz, float)
         key = (self.theta.tobytes(), self.norm, points.tobytes(),
@@ -197,8 +207,7 @@ class KhModel:
         if self._layout is None or self._layout[0] != key:
             kernels = self.kernels(boundary_features(points, sensors_rz,
                                                      self.norm))
-            for k in kernels:
-                k.flags.writeable = False   # shared by every later hit
+            kernels.flags.writeable = False   # shared by every later hit
             self._layout = (key, kernels)
         return self._layout[1]
 
@@ -249,27 +258,20 @@ def loss_and_gradients(model: KhModel, feats, u_n, dhat_n, w, y, *,
     """
     if buffers is None:
         buffers = StepBuffers(np.float64)
-    dtype = buffers.theta.dtype
     np.copyto(buffers.theta, model.theta)
-    feats, u_n, dhat_n, w, y = (np.asarray(a, dtype)
+    feats, u_n, dhat_n, w, y = (np.asarray(a, buffers.theta.dtype)
                                 for a in (feats, u_n, dhat_n, w, y))
     b, mcount, nf = feats.shape
     if b == 0:
         raise DomainError("empty batch")
-    flat = feats.reshape(b * mcount, nf)
-    stacks, grads = buffers.stacks, buffers.grads
-    g, cache_g = _dense_forward_cache(stacks[0], flat)
-    dg, cache_d = _dense_forward_cache(stacks[1], flat)
-    phi = u_n * dg.reshape(b, mcount) - g.reshape(b, mcount) * dhat_n
-    yhat = np.einsum("bm,bm->b", w, phi)
-
-    resid = yhat - y
+    kernels, cache = _dense_forward_cache(buffers.stacks,
+                                          feats.reshape(b * mcount, nf))
+    g, dg = kernels.reshape(2, b, mcount)
+    resid = np.einsum("bm,bm->b", w, u_n * dg - g * dhat_n) - y
     loss = float(resid @ resid / b)
-    dyhat = 2.0 * resid / b
-    dphi = dyhat[:, None] * w
-
-    _dense_backward(stacks[0], cache_g, (-dphi * dhat_n).ravel(), grads[0])
-    _dense_backward(stacks[1], cache_d, (dphi * u_n).ravel(), grads[1])
+    dphi = (2.0 * resid / b)[:, None] * w
+    dy = np.stack([-dphi * dhat_n, dphi * u_n]).reshape(2, b * mcount)
+    _dense_backward(buffers.stacks, cache, dy, buffers.grads)
     # buffers are overwritten by the next call: the caller gets a copy
     grad = buffers.grad.astype(np.float64)
     if not np.isfinite(grad).all():
@@ -351,9 +353,9 @@ class _Samples:
                 self.y.take(sel))
 
     def mse(self, model: KhModel) -> float:
-        """MSE over every sample; each stack runs once on the node table."""
-        g, dg = model.kernels(self.feats)
-        phi = kh_physical_layer(self.u[:, None], self.d[:, None], g, dg)
+        """MSE over every sample; the stacks run once on the node table."""
+        phi = kh_physical_layer(self.u[:, None], self.d[:, None],
+                                *model.kernels(self.feats))
         return mse_loss(np.einsum("cm,cnm->cn", self.w, phi), self.y)
 
 

@@ -3,6 +3,7 @@ extraction."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,18 @@ class NormConstants:
     z_scale: float
     T_center: float
     T_scale: float
+
+    def __post_init__(self):
+        # checkpoints and manifests are read through here; a zero or
+        # non-finite constant would give a nan field downstream
+        try:
+            ok = (all(map(math.isfinite, vars(self).values()))
+                  and min(self.r_scale, self.z_scale, self.T_scale) > 0.0)
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ConfigurationError(f"normalization constants must be finite "
+                                     f"numbers with positive scales: {self}")
 
     def norm_T(self, T):
         return (np.asarray(T, float) - self.T_center) / self.T_scale

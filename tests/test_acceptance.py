@@ -124,7 +124,9 @@ def test_criterion_4_gradient_correctness():
         w = rng.uniform(0.1, 1, size=(8, 4))
         y = rng.uniform(-1, 1, size=8)
         _, grad = loss_and_gradients(model, feats, u, d, w, y)
-        analytic = dict(zip(("G", "dG"), stack_views(grad)))
+        views = stack_views(grad)
+        analytic = {name: {k: views[k][i] for k in PARAM_KEYS}
+                    for i, name in enumerate(("G", "dG"))}
         stacks = {"G": model.G_stack, "dG": model.dG_stack}
         for _ in range(20):
             name = ("G", "dG")[rng.integers(2)]

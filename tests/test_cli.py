@@ -590,3 +590,85 @@ class TestFieldFuzz:
         _assert_one_error_object(
             ["evaluate", *((good, str(field)) if as_truth else
                            (str(field), good))])
+
+
+# Malformed checkpoints: one edit of a valid tiny-model checkpoint, or a whole
+# file of arbitrary bytes. Every edit leaves the checkpoint invalid: each
+# dropped key is one the reader needs, and each value is not a finite number,
+# or is a scale that is not positive.
+_LAYERS = [(stack, key) for stack in ("G", "dG")
+           for key in ("W1", "b1", "W2", "b2", "W3", "b3")]
+_NORM_KEYS = ("r_center", "r_scale", "z_center", "z_scale", "T_center",
+              "T_scale")
+_NOT_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+_NOT_NUMERIC = st.one_of(_NOT_A_NUMBER, st.none(), st.just([]), st.just({}))
+_CHECKPOINT_EDITS = st.one_of(
+    st.tuples(st.just("bytes"), st.one_of(
+        st.sampled_from([b"", b"{}", b"null", b"[]", b"\x00"]),
+        st.binary(max_size=64))),
+    st.tuples(st.just("drop-key"), st.sampled_from(
+        [("architecture",), ("architecture", "layer_sizes"),
+         ("normalization",), ("eta",), ("stacks",), ("stacks", "G"),
+         ("stacks", "dG"), *(("stacks", *layer) for layer in _LAYERS),
+         *(("normalization", key) for key in _NORM_KEYS)])),
+    st.tuples(st.just("shape"), st.sampled_from(_LAYERS),
+              st.sampled_from(["drop-row", "drop-entry", "wrap", "scalar"])),
+    st.tuples(st.just("weight"), st.sampled_from(_LAYERS),
+              st.integers(0, 2 ** 20), st.one_of(_NOT_NUMERIC, _NOT_FINITE)),
+    st.tuples(st.just("layer-sizes"),
+              st.lists(st.integers(0, 200), max_size=5).filter(
+                  lambda sizes: sizes != [5, 128, 64, 1])),
+    st.tuples(st.just("norm"), st.sampled_from(_NORM_KEYS),
+              st.one_of(_NOT_NUMERIC, _NOT_FINITE)),
+    st.tuples(st.just("norm"), st.sampled_from(("r_scale", "z_scale",
+                                                "T_scale")),
+              st.sampled_from([0, 0.0, -0.0, -1e-300, -1.0, float("nan")])),
+)
+
+
+def _edited_checkpoint(text, edit):
+    kind = edit[0]
+    if kind == "bytes":
+        return edit[1]
+    blob = json.loads(text)
+    if kind == "drop-key":
+        *parents, key = edit[1]
+        node = blob
+        for parent in parents:
+            node = node[parent]
+        del node[key]
+    elif kind in ("shape", "weight"):
+        (stack, key), layer = edit[1], blob["stacks"][edit[1][0]]
+        value = layer[key]
+        if kind == "weight":
+            row = value[edit[2] % len(value)] if key[0] == "W" else value
+            row[edit[2] % len(row)] = edit[3]
+        elif edit[2] == "drop-row":
+            layer[key] = value[:-1]
+        elif edit[2] == "drop-entry":
+            layer[key] = [value[0][:-1], *value[1:]] if key[0] == "W" \
+                else value[:-1]
+        elif edit[2] == "wrap":
+            layer[key] = [value]
+        else:
+            layer[key] = 0.0
+    elif kind == "layer-sizes":
+        blob["architecture"]["layer_sizes"] = edit[1]
+    else:
+        blob["normalization"][edit[1]] = edit[2]
+    return json.dumps(blob).encode()
+
+
+class TestCheckpointFuzz:
+    @given(edit=_CHECKPOINT_EDITS)
+    @settings(max_examples=50, deadline=None)
+    def test_malformed_checkpoint_exits_with_one_error_object(
+            self, tiny_cfg_path, tiny_run, tiny_model, tmp_path_factory, edit):
+        ckpt = tmp_path_factory.getbasetemp() / "fuzz_checkpoint.json"
+        ckpt.write_bytes(_edited_checkpoint(
+            (tiny_model / "checkpoint.json").read_text(), edit))
+        _assert_one_error_object(
+            ["reconstruct", "--config", tiny_cfg_path,
+             "--checkpoint", str(ckpt),
+             "--sensors", str(tiny_run / "sensors.csv"),
+             "--out-dir", str(ckpt.parent / "fuzz_ckpt_rec")])

@@ -230,6 +230,19 @@ class TestDatasetDirectory:
         with pytest.raises(ConfigurationError, match=f"'{key}'"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("key, value", [("T_scale", 0.0),
+                                            ("r_scale", -1.0),
+                                            ("z_center", np.nan)])
+    def test_manifest_normalization_must_be_valid(self, dataset_tiny, tmp_path,
+                                                  key, value):
+        save_dataset(dataset_tiny, tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["normalization"][key] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigurationError, match="normalization"):
+            load_dataset(tmp_path)
+
     @pytest.mark.parametrize("text", ['{"config": ', '[1, 2]'])
     def test_malformed_manifest_rejected(self, dataset_tiny, tmp_path, text):
         save_dataset(dataset_tiny, tmp_path)
@@ -376,6 +389,27 @@ class TestMalformedCheckpoint:
         path = tmp_path / "ckpt.json"
         path.write_text(json.dumps(good_blob))
         self._check_rejected(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, None])
+    @pytest.mark.parametrize("stack", ["G", "dG"])
+    def test_non_finite_weight(self, good_blob, tmp_path, stack, value):
+        # json writes NaN and Infinity literals; null reads as nan
+        good_blob["stacks"][stack]["W2"][5][7] = value
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(good_blob))
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("r_scale", 0), ("z_scale", -1.9), ("T_scale", 0.0),
+        ("T_scale", np.nan), ("r_scale", np.inf), ("T_center", -np.inf),
+        ("z_center", np.nan), ("z_scale", "1.9"), ("T_scale", None)])
+    def test_invalid_normalization(self, good_blob, tmp_path, key, value):
+        good_blob["normalization"][key] = value
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(good_blob))
+        with pytest.raises(ConfigurationError, match="normalization"):
+            load_checkpoint(path)
 
 
 class TestReports:

@@ -1,6 +1,7 @@
 """Reconstruction network: dense stacks, physical/integration layers,
 gradients, Adam, schedule, training loop."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -72,6 +73,19 @@ class TestDenseForward:
                 y = sum(a2[k] * params["W3"][k, 0] for k in range(64)) \
                     + params["b3"][0]
                 assert got[i] == pytest.approx(y, abs=1e-12)
+
+    def test_stacked_block_matches_each_stack(self):
+        # one call on the (2, ...) block, over more rows than one pass takes,
+        # gives each stack's own single-pass values bit for bit
+        model = _random_model(4)
+        x = np.random.default_rng(5).uniform(-1, 1,
+                                             size=(khnet.FORWARD_ROWS + 37, 5))
+        got = dense_forward(stack_views(model.theta), x)
+        assert got.shape == (2, len(x))
+        for i, stack in enumerate((model.G_stack, model.dG_stack)):
+            assert got[i].tobytes() == \
+                khnet._dense_forward_cache(stack, x)[0].tobytes()
+        assert dense_forward(model.G_stack, np.zeros((0, 5))).shape == (0,)
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(0)
@@ -208,9 +222,8 @@ class TestGradients:
         y = np.einsum("bm,bm->b", w, u * dg - g * d)
         loss, grad = loss_and_gradients(model, feats, u, d, w, y)
         assert loss == 0.0
-        for grads in stack_views(grad):
-            for k in PARAM_KEYS:
-                assert np.all(grads[k] == 0.0)
+        for k, grads in stack_views(grad).items():
+            assert np.all(grads[0] == 0.0) and np.all(grads[1] == 0.0), k
 
     def test_finite_difference_agreement(self):
         h = 1e-5
@@ -219,7 +232,9 @@ class TestGradients:
             rng = np.random.default_rng(100 + seed)
             feats, u, d, w, y = _random_batch(rng)
             _, grad = loss_and_gradients(model, feats, u, d, w, y)
-            analytic = dict(zip(("G", "dG"), stack_views(grad)))
+            views = stack_views(grad)
+            analytic = {name: {k: views[k][i] for k in PARAM_KEYS}
+                        for i, name in enumerate(("G", "dG"))}
             stacks = {"G": model.G_stack, "dG": model.dG_stack}
             for _ in range(20):
                 name = ("G", "dG")[rng.integers(2)]
@@ -245,12 +260,24 @@ class TestGradients:
         g = dense_forward(model.G_stack, flat).reshape(b, m)
         dg = dense_forward(model.dG_stack, flat).reshape(b, m)
         yhat = np.einsum("bm,bm->b", w, u * dg - g * d)
-        gg1, _ = stack_views(loss_and_gradients(model, feats, u, d, w,
-                                                yhat - 0.1)[1])
-        gg2, _ = stack_views(loss_and_gradients(model, feats, u, d, w,
-                                                yhat - 0.2)[1])
+        gg1 = stack_views(loss_and_gradients(model, feats, u, d, w,
+                                             yhat - 0.1)[1])
+        gg2 = stack_views(loss_and_gradients(model, feats, u, d, w,
+                                             yhat - 0.2)[1])
         for k in PARAM_KEYS:
-            np.testing.assert_allclose(gg2[k], 2.0 * gg1[k], rtol=1e-9)
+            np.testing.assert_allclose(gg2[k][0], 2.0 * gg1[k][0], rtol=1e-9)
+
+    def test_one_stacked_forward_and_backward_per_step(self, monkeypatch):
+        calls = []
+        for name in ("_dense_forward_cache", "_dense_backward"):
+            fn = getattr(khnet, name)
+            monkeypatch.setattr(khnet, name, lambda *a, fn=fn, name=name:
+                                calls.append(name) or fn(*a))
+        model, batch = _criterion4_case(0)
+        for dtype in (np.float32, np.float64):
+            calls.clear()
+            loss_and_gradients(model, *batch, buffers=StepBuffers(dtype))
+            assert calls == ["_dense_forward_cache", "_dense_backward"]
 
     def test_empty_batch_rejected(self):
         model = _random_model(0)
@@ -273,12 +300,13 @@ class TestAdam:
         state = AdamState.for_model(model)
         rng = np.random.default_rng(6)
         grad = rng.choice([-1.0, 1.0], size=N_PARAMS) * 0.5
-        gg, _ = stack_views(grad)
+        gg = stack_views(grad)
         before = {k: model.G_stack[k].copy() for k in PARAM_KEYS}
         adam_step(model, state, grad, alpha=1e-3)
         for k in PARAM_KEYS:
             step = model.G_stack[k] - before[k]
-            np.testing.assert_allclose(step, -1e-3 * np.sign(gg[k]), rtol=1e-6)
+            np.testing.assert_allclose(step, -1e-3 * np.sign(gg[k][0]),
+                                       rtol=1e-6)
 
     def test_quadratic_bowl_converges(self):
         # zeroed weights leave only the two output biases trainable, so the
@@ -319,9 +347,10 @@ class TestAdam:
         for t in range(1, 4):
             grad = rng.normal(size=N_PARAMS)
             adam_step(model, state, grad, alpha, b1, b2, eps)
-            for name, g_stack in zip(("G", "dG"), stack_views(grad)):
+            views = stack_views(grad)
+            for i, name in enumerate(("G", "dG")):
                 for k in PARAM_KEYS:
-                    g = g_stack[k]
+                    g = views[k][i]
                     m, v = ref_m[name][k], ref_v[name][k]
                     m[...] = b1 * m + (1.0 - b1) * g
                     v[...] = b2 * v + (1.0 - b2) * g * g
@@ -336,12 +365,16 @@ class TestFlatParameters:
     def test_stacks_are_views_into_theta(self):
         model = _random_model(0)
         assert model.theta.shape == (N_PARAMS,)
-        for stack, view in zip((model.G_stack, model.dG_stack),
-                               stack_views(model.theta)):
-            for k in PARAM_KEYS:
-                assert stack[k].shape == view[k].shape
+        views = stack_views(model.theta)
+        assert tuple(views) == PARAM_KEYS
+        for k, view in views.items():
+            assert view.shape == (2, *model.G_stack[k].shape)
+            assert np.shares_memory(view, model.theta)
+            for i, stack in enumerate((model.G_stack, model.dG_stack)):
                 assert np.shares_memory(stack[k], model.theta)
-                np.testing.assert_array_equal(stack[k], view[k])
+                assert np.shares_memory(stack[k], view[i])
+                assert stack[k].shape == view[i].shape
+                np.testing.assert_array_equal(stack[k], view[i])
         before = model.theta.copy()
         model.dG_stack["W2"][3, 4] += 1.0
         changed = np.flatnonzero(model.theta != before)
@@ -386,6 +419,22 @@ class TestFlatParameters:
         assert not np.shares_memory(g1, model.theta)
         np.testing.assert_array_equal(g1, kept)
         np.testing.assert_array_equal(g1, g2)
+
+    # sha256 of save_checkpoint's file, recorded while theta still held the
+    # whole G stack before the whole dG stack (numpy 2.4.6, OpenBLAS 0.3.31,
+    # one thread): the order of theta is invisible in the checkpoint, and
+    # training reaches the same bits
+    def test_checkpoint_bytes_of_seeded_model(self, tmp_path):
+        save_checkpoint(_criterion4_case(0)[0], tmp_path / "c.json")
+        assert hashlib.sha256((tmp_path / "c.json").read_bytes()).hexdigest() \
+            == "59f9a1fcf2e31132e05e7b2a59daf75da115914c0604f7394c884c0845092d44"
+
+    def test_checkpoint_bytes_of_trained_model(self, dataset_tiny, tmp_path):
+        model, _ = train(dataset_tiny, TrainSettings(epochs=3, fixed_lr=1e-3,
+                                                     seed=0))
+        save_checkpoint(model, tmp_path / "c.json")
+        assert hashlib.sha256((tmp_path / "c.json").read_bytes()).hexdigest() \
+            == "7691fbb822c520f288a403828fef5e2ad647d650f0cb3ce1ea89ba7e191d7e0f"
 
 
 class TestTraining:
@@ -565,7 +614,7 @@ class TestLayoutKernels:
         warm = reconstruct_field(model, _snapshot(sensors, 1), mesh)
         assert calls == []
         cold = reconstruct_field(_cold(model), _snapshot(sensors, 1), mesh)
-        assert calls == ["boundary_features", "dense_forward", "dense_forward"]
+        assert calls == ["boundary_features", "dense_forward"]
         assert _bits(warm) == _bits(cold)
 
     def test_kept_kernels_are_read_only(self, setup):
@@ -647,10 +696,12 @@ class TestMixedPrecision:
             loss32, grad32 = loss_and_gradients(
                 model, *batch, buffers=StepBuffers(np.float32))
             assert abs(loss32 - loss64) <= 1e-6 * loss64
-            for s32, s64 in zip(stack_views(grad32), stack_views(grad64)):
-                for k in PARAM_KEYS:
-                    scale = np.abs(s64[k]).max()
-                    assert np.abs(s32[k] - s64[k]).max() <= 5e-6 * scale, k
+            s32, s64 = stack_views(grad32), stack_views(grad64)
+            for k in PARAM_KEYS:
+                for i in (0, 1):   # the G and the dG stack
+                    scale = np.abs(s64[k][i]).max()
+                    assert np.abs(s32[k][i] - s64[k][i]).max() \
+                        <= 5e-6 * scale, k
 
     def test_float32_call_leaves_theta_alone(self):
         model, batch = _criterion4_case(0)
