@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from collections import Counter
 from functools import lru_cache
 from pathlib import Path
@@ -239,21 +240,35 @@ def save_checkpoint(model: KhModel, path) -> None:
         json.dump(blob, f)
 
 
+def _json_numbers(value, what) -> np.ndarray:
+    """Nested JSON lists of numbers as a float array (null reads as nan).
+    ConfigurationError on a true, false or string entry, which
+    np.array(value, float) would take as a number."""
+    out = np.array(value, float)
+    if {type(x) for x in np.array(value, object).flat} & {bool, str}:
+        raise ConfigurationError(f"{what} holds a boolean or a string, "
+                                 f"not only numbers")
+    return out
+
+
 def load_checkpoint(path) -> KhModel:
-    """Raises ConfigurationError on bad JSON, a missing key or a layer shape
-    that does not match LAYER_SIZES."""
+    """Raises ConfigurationError on bad JSON, a missing key, a layer shape
+    that does not match LAYER_SIZES, or a weight or eta that is not a finite
+    JSON number."""
     try:
         with open(path) as f:
             blob = json.load(f)
         sizes = tuple(blob["architecture"]["layer_sizes"])
         if sizes != LAYER_SIZES:
             raise ConfigurationError(f"unsupported layer sizes {sizes}")
-        stacks = {name: {k: np.array(v, float)
+        stacks = {name: {k: _json_numbers(v, f"stack {name} {k}")
                          for k, v in blob["stacks"][name].items()}
                   for name in ("G", "dG")}
+        eta = blob["eta"]
+        if type(eta) not in (int, float) or not math.isfinite(eta):
+            raise ConfigurationError(f"eta must be a finite number, not {eta!r}")
         return KhModel(G_stack=stacks["G"], dG_stack=stacks["dG"],
-                       norm=NormConstants(**blob["normalization"]),
-                       eta=blob["eta"])
+                       norm=NormConstants(**blob["normalization"]), eta=eta)
     except ConfigurationError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as e:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,16 +49,32 @@ def nl2_norm(predicted, truth) -> float:
     return float(np.linalg.norm(p - t)) / denom
 
 
+@lru_cache(maxsize=16)  # callers pass a mesh's shared region tuple
+def _region_masks(region: tuple) -> tuple:
+    """(tag, read-only boolean node mask) for each distinct tag of region,
+    in first-seen order."""
+    tags = np.asarray(region)
+    masks = []
+    for name in dict.fromkeys(tags.tolist()):
+        sel = tags == name
+        sel.flags.writeable = False
+        masks.append((name, sel))
+    return tuple(masks)
+
+
 def compute_metrics(predicted, truth, region=None) -> MetricsReport:
-    """Full metrics report, optionally broken down per region tag."""
+    """Full metrics report, optionally broken down per region tag (one tag
+    per predicted value; MetricError otherwise)."""
     p = np.asarray(predicted, float).ravel()
     t = np.asarray(truth, float).ravel()
     err = np.abs(p - t)
     by_region = {}
     if region is not None:
-        region = np.asarray(region)
-        for name in dict.fromkeys(region.tolist()):
-            sel = region == name
+        region = tuple(region)
+        if len(region) != p.size:
+            raise MetricError(f"{len(region)} region tags for {p.size} "
+                              f"predicted values")
+        for name, sel in _region_masks(region):
             by_region[name] = {"r_squared": r_squared(p[sel], t[sel]),
                                "nl2": nl2_norm(p[sel], t[sel])}
     return MetricsReport(r_squared=r_squared(p, t), nl2=nl2_norm(p, t),

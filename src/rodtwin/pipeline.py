@@ -72,9 +72,12 @@ class NormConstants:
 
     def __post_init__(self):
         # checkpoints and manifests are read through here; a zero or
-        # non-finite constant would give a nan field downstream
+        # non-finite constant would give a nan field downstream, and a JSON
+        # true would pass math.isfinite as 1
+        values = vars(self).values()
         try:
-            ok = (all(map(math.isfinite, vars(self).values()))
+            ok = (not any(isinstance(v, bool) for v in values)
+                  and all(map(math.isfinite, values))
                   and min(self.r_scale, self.z_scale, self.T_scale) > 0.0)
         except TypeError:
             ok = False

@@ -594,14 +594,19 @@ class TestFieldFuzz:
 
 # Malformed checkpoints: one edit of a valid tiny-model checkpoint, or a whole
 # file of arbitrary bytes. Every edit leaves the checkpoint invalid: each
-# dropped key is one the reader needs, and each value is not a finite number,
-# or is a scale that is not positive.
+# dropped key is one the reader needs, and each value is not a finite JSON
+# number (true, false and numeric strings are not numbers), or is a scale that
+# is not positive.
 _LAYERS = [(stack, key) for stack in ("G", "dG")
            for key in ("W1", "b1", "W2", "b2", "W3", "b3")]
 _NORM_KEYS = ("r_center", "r_scale", "z_center", "z_scale", "T_center",
               "T_scale")
 _NOT_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 _NOT_NUMERIC = st.one_of(_NOT_A_NUMBER, st.none(), st.just([]), st.just({}))
+_NUMBER_LIKE = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10 ** 6, 10 ** 6).map(str))
 _CHECKPOINT_EDITS = st.one_of(
     st.tuples(st.just("bytes"), st.one_of(
         st.sampled_from([b"", b"{}", b"null", b"[]", b"\x00"]),
@@ -614,12 +619,15 @@ _CHECKPOINT_EDITS = st.one_of(
     st.tuples(st.just("shape"), st.sampled_from(_LAYERS),
               st.sampled_from(["drop-row", "drop-entry", "wrap", "scalar"])),
     st.tuples(st.just("weight"), st.sampled_from(_LAYERS),
-              st.integers(0, 2 ** 20), st.one_of(_NOT_NUMERIC, _NOT_FINITE)),
+              st.integers(0, 2 ** 20),
+              st.one_of(_NOT_NUMERIC, _NOT_FINITE, _NUMBER_LIKE)),
+    st.tuples(st.just("eta"),
+              st.one_of(_NOT_NUMERIC, _NOT_FINITE, _NUMBER_LIKE)),
     st.tuples(st.just("layer-sizes"),
               st.lists(st.integers(0, 200), max_size=5).filter(
                   lambda sizes: sizes != [5, 128, 64, 1])),
     st.tuples(st.just("norm"), st.sampled_from(_NORM_KEYS),
-              st.one_of(_NOT_NUMERIC, _NOT_FINITE)),
+              st.one_of(_NOT_NUMERIC, _NOT_FINITE, _NUMBER_LIKE)),
     st.tuples(st.just("norm"), st.sampled_from(("r_scale", "z_scale",
                                                 "T_scale")),
               st.sampled_from([0, 0.0, -0.0, -1e-300, -1.0, float("nan")])),
@@ -654,9 +662,22 @@ def _edited_checkpoint(text, edit):
             layer[key] = 0.0
     elif kind == "layer-sizes":
         blob["architecture"]["layer_sizes"] = edit[1]
+    elif kind == "eta":
+        blob["eta"] = edit[1]
     else:
         blob["normalization"][edit[1]] = edit[2]
     return json.dumps(blob).encode()
+
+
+def _reconstruct_with_edited_checkpoint(cfg_path, run, model, tmp_root, edit):
+    """(exit code, error object) of reconstruct with one checkpoint edit."""
+    ckpt = tmp_root / "fuzz_checkpoint.json"
+    ckpt.write_bytes(_edited_checkpoint(
+        (model / "checkpoint.json").read_text(), edit))
+    return _assert_one_error_object(
+        ["reconstruct", "--config", cfg_path, "--checkpoint", str(ckpt),
+         "--sensors", str(run / "sensors.csv"),
+         "--out-dir", str(tmp_root / "fuzz_ckpt_rec")])
 
 
 class TestCheckpointFuzz:
@@ -664,11 +685,20 @@ class TestCheckpointFuzz:
     @settings(max_examples=50, deadline=None)
     def test_malformed_checkpoint_exits_with_one_error_object(
             self, tiny_cfg_path, tiny_run, tiny_model, tmp_path_factory, edit):
-        ckpt = tmp_path_factory.getbasetemp() / "fuzz_checkpoint.json"
-        ckpt.write_bytes(_edited_checkpoint(
-            (tiny_model / "checkpoint.json").read_text(), edit))
-        _assert_one_error_object(
-            ["reconstruct", "--config", tiny_cfg_path,
-             "--checkpoint", str(ckpt),
-             "--sensors", str(tiny_run / "sensors.csv"),
-             "--out-dir", str(ckpt.parent / "fuzz_ckpt_rec")])
+        _reconstruct_with_edited_checkpoint(
+            tiny_cfg_path, tiny_run, tiny_model,
+            tmp_path_factory.getbasetemp(), edit)
+
+    # JSON true/false and numeric strings: np.array(v, float) and
+    # math.isfinite take them as numbers
+    @pytest.mark.parametrize("edit", [
+        ("eta", "not a number"), ("eta", True), ("eta", "1.0"), ("eta", None),
+        ("eta", float("nan")), ("weight", ("G", "W2"), 5, True),
+        ("weight", ("dG", "b1"), 7, "1.5"), ("weight", ("G", "b3"), 0, False),
+        ("norm", "T_scale", True), ("norm", "r_center", False),
+        ("norm", "z_center", "1.9")], ids=repr)
+    def test_number_like_value_exits_3(self, tiny_cfg_path, tiny_run,
+                                       tiny_model, tmp_path, edit):
+        rc, _ = _reconstruct_with_edited_checkpoint(
+            tiny_cfg_path, tiny_run, tiny_model, tmp_path, edit)
+        assert rc == EXIT_CONFIG

@@ -400,10 +400,39 @@ class TestMalformedCheckpoint:
         with pytest.raises(ConfigurationError, match="non-finite"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [True, False, "1.5", "0"])
+    @pytest.mark.parametrize("stack, key", [("G", "W2"), ("dG", "b1")])
+    def test_boolean_or_string_weight(self, good_blob, tmp_path, stack, key,
+                                      value):
+        # np.array(v, float) would read these as 1.0, 0.0, 1.5 and 0.0
+        layer = good_blob["stacks"][stack][key]
+        (layer[5] if key[0] == "W" else layer)[7] = value
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(good_blob))
+        with pytest.raises(ConfigurationError, match="boolean or a string"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [True, False, "not a number", "1.0",
+                                       None, [1.0], {}, np.nan, np.inf])
+    def test_invalid_eta(self, good_blob, tmp_path, value):
+        good_blob["eta"] = value
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(good_blob))
+        with pytest.raises(ConfigurationError, match="eta"):
+            load_checkpoint(path)
+
+    def test_integer_eta_is_kept(self, good_blob, tmp_path):
+        good_blob["eta"] = 2
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(good_blob))
+        assert load_checkpoint(path).eta == 2
+
     @pytest.mark.parametrize("key, value", [
         ("r_scale", 0), ("z_scale", -1.9), ("T_scale", 0.0),
         ("T_scale", np.nan), ("r_scale", np.inf), ("T_center", -np.inf),
-        ("z_center", np.nan), ("z_scale", "1.9"), ("T_scale", None)])
+        ("z_center", np.nan), ("z_scale", "1.9"), ("T_scale", None),
+        ("r_scale", True), ("T_center", True), ("z_center", False),
+        ("T_center", "600.0")])
     def test_invalid_normalization(self, good_blob, tmp_path, key, value):
         good_blob["normalization"][key] = value
         path = tmp_path / "ckpt.json"

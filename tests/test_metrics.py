@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from rodtwin.errors import MetricError
-from rodtwin.metrics import compute_metrics, nl2_norm, r_squared
+from rodtwin.core import RodGeometry
+from rodtwin.mesh import build_rod_mesh
+from rodtwin.metrics import _region_masks, compute_metrics, nl2_norm, r_squared
 
 
 class TestRSquared:
@@ -68,3 +70,67 @@ class TestReport:
         rep = compute_metrics(t, t)
         assert rep.by_region == {}
         assert rep.nl2 == 0.0
+
+
+def _asarray_by_region(p, t, region):
+    """by_region as compute_metrics built it before its masks were memoized:
+    from np.asarray(region) on every call."""
+    region = np.asarray(region)
+    return {name: {"r_squared": r_squared(p[region == name], t[region == name]),
+                   "nl2": nl2_norm(p[region == name], t[region == name])}
+            for name in dict.fromkeys(region.tolist())}
+
+
+class TestRegionMasks:
+    @pytest.fixture
+    def mesh_case(self, rng):
+        mesh = build_rod_mesh(RodGeometry(), nr_fuel=4, nz=12, nr_clad=3)
+        region = mesh.node_table()[2]
+        t = 600.0 + rng.uniform(-50.0, 50.0, len(region))
+        return t + rng.normal(scale=2.0, size=t.size), t, region
+
+    @pytest.mark.parametrize("kind", [tuple, list, np.asarray])
+    def test_same_report_as_asarray_path(self, mesh_case, kind):
+        p, t, region = mesh_case
+        rep = compute_metrics(p, t, kind(region))
+        ref = _asarray_by_region(p, t, region)
+        assert rep.by_region == ref
+        assert list(rep.by_region) == list(ref) == ["fuel", "cladding"]
+        whole = compute_metrics(p, t)
+        assert (rep.r_squared, rep.nl2, rep.max_abs_error, rep.max_rel_error) \
+            == (whole.r_squared, whole.nl2, whole.max_abs_error,
+                whole.max_rel_error)
+
+    def test_interleaved_tags_keep_first_seen_order(self, rng):
+        region = ["b", "a", "c", "a", "b", "c", "c", "a", "b"] * 3
+        t = 600.0 + rng.uniform(-50.0, 50.0, len(region))
+        p = t + rng.normal(scale=2.0, size=t.size)
+        rep = compute_metrics(p, t, region)
+        assert rep.by_region == _asarray_by_region(p, t, region)
+        assert list(rep.by_region) == ["b", "a", "c"]
+
+    def test_list_edited_between_calls_gives_fresh_answer(self, rng):
+        region = ["fuel"] * 6 + ["cladding"] * 6
+        t = 600.0 + rng.uniform(-50.0, 50.0, len(region))
+        p = t + rng.normal(scale=2.0, size=t.size)
+        compute_metrics(p, t, region)
+        region[:3] = ["gap"] * 3
+        rep = compute_metrics(p, t, region)
+        assert rep.by_region == _asarray_by_region(p, t, region)
+        assert list(rep.by_region) == ["gap", "fuel", "cladding"]
+
+    def test_masks_are_cached_and_read_only(self, mesh_case):
+        region = mesh_case[2]
+        masks = _region_masks(region)
+        assert _region_masks(region) is masks
+        assert [name for name, _ in masks] == ["fuel", "cladding"]
+        for _, sel in masks:
+            assert sel.dtype == bool and not sel.flags.writeable
+            with pytest.raises(ValueError):
+                sel[0] = not sel[0]
+
+    @pytest.mark.parametrize("n_tags", [11, 13])
+    def test_region_length_must_match_predicted(self, n_tags):
+        t = np.linspace(1.0, 2.0, 12)
+        with pytest.raises(MetricError, match=rf"{n_tags} region tags .* 12"):
+            compute_metrics(t, t, ["fuel"] * n_tags)

@@ -1,8 +1,16 @@
 """Slice thermoelasticity, creep law, hoop-strain summary and stress fields."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid, trapezoid
 
+import rodtwin
+from rodtwin import thermomech
 from rodtwin.conduction import TemperatureField
 from rodtwin.core import MaterialParams, RodGeometry
 from rodtwin.errors import ConfigurationError, DomainError
@@ -247,3 +255,87 @@ class TestStressField:
         mesh = coupled20.field.mesh
         assert sf.fuel_sigma_theta.shape == (mesh.nz_fuel, mesh.nr_fuel)
         assert sf.clad_sigma_theta.shape == (mesh.nz, mesh.nr_clad)
+
+
+def _scipy_slice(r, T, P_in, P_out, E, nu, alpha):
+    """lame_thermoelastic_slice with its two radial integrals taken by
+    scipy.integrate: the reference that the numpy trapezoids must equal bit
+    for bit."""
+    r, T = np.asarray(r, float), np.asarray(T, float)
+    a, b = float(r[0]), float(r[-1])
+    r2 = r * r
+    denom = b * b - a * a
+    K = alpha * E / (1.0 - nu)
+    I = cumulative_trapezoid(T * r, r, axis=-1, initial=0.0)
+    Ib = I[..., -1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        J = (a * a * Ib / denom + I) / r2
+    if a == 0.0:
+        J[..., 0] = 0.5 * T[..., 0]
+    lam_A = (P_in * a * a - P_out * b * b) / denom
+    lam_B_r2 = (P_in - P_out) * a * a * b * b / denom / r2 if a > 0.0 else 0.0
+    sig_r = K * (Ib / denom - J) + lam_A - lam_B_r2
+    sig_t = K * (Ib / denom + J - T) + lam_A + lam_B_r2
+    sig_z = K * (2.0 * Ib / denom - T)
+    c = 2.0 * trapezoid(sig_z * r, r, axis=-1)[..., None] / denom
+    sig_z = sig_z - c + lam_A
+    eps_t = (sig_t - nu * (sig_r + sig_z)) / E
+    return thermomech.SliceStress(sig_r, sig_t, sig_z, eps_t)
+
+
+_SLICE_FIELDS = ("sigma_r", "sigma_theta", "sigma_z", "eps_theta_elastic")
+_STRESS_FIELDS = ("fuel_sigma_r", "fuel_sigma_theta", "fuel_sigma_z",
+                  "clad_sigma_r", "clad_sigma_theta", "clad_sigma_z")
+
+
+class TestScipyReference:
+    """The radial integrals are numpy trapezoids written as scipy.integrate
+    writes them, so every stress and strain is bit-identical to scipy's."""
+
+    @pytest.mark.parametrize("grid", ["annulus", "solid", "random-annulus",
+                                      "random-solid"])
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)],
+                             ids=["1-D", "2-D", "3-D"])
+    def test_slice_equals_scipy_reference(self, grid, shape, rng):
+        a = 0.0 if grid.endswith("solid") else GEOM.R_ci
+        n = int(rng.integers(2, 30))
+        if grid.startswith("random"):
+            r = np.concatenate([[a], a + np.cumsum(rng.uniform(1e-5, 1e-3, n))])
+        else:
+            r = np.linspace(a, GEOM.R_co, n)
+        T = 500.0 + 900.0 * rng.random((*shape, r.size))
+        args = (r, T, *rng.uniform(0.0, 2e7, 2), MAT.E_clad, MAT.nu_clad,
+                MAT.alpha_theta)
+        got, ref = lame_thermoelastic_slice(*args), _scipy_slice(*args)
+        for f in _SLICE_FIELDS:
+            assert np.array_equal(getattr(got, f), getattr(ref, f)), f
+
+    @pytest.mark.parametrize("noise_k", [0.0, 5.0])
+    def test_stress_field_and_hoop_strain_equal_scipy_reference(
+            self, coupled20, noise_k, rng, monkeypatch):
+        f = coupled20.field
+        field = TemperatureField(
+            mesh=f.mesh, T_fuel=f.T_fuel + rng.normal(0.0, noise_k, f.T_fuel.shape),
+            T_clad=f.T_clad + rng.normal(0.0, noise_k, f.T_clad.shape))
+
+        def outputs():
+            return (stress_field(field, 2e6, 15.51e6, MAT),
+                    hoop_strain_summary(field, MAT, 3.47e7))
+        sf, strain = outputs()
+        monkeypatch.setattr(thermomech, "lame_thermoelastic_slice",
+                            _scipy_slice)
+        sf_ref, strain_ref = outputs()
+        for name in _STRESS_FIELDS:
+            assert np.array_equal(getattr(sf, name), getattr(sf_ref, name)), name
+        assert strain == strain_ref
+
+    def test_package_does_not_import_scipy_integrate(self):
+        src = str(Path(rodtwin.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        code = ("import sys, rodtwin.cli, rodtwin.thermomech, rodtwin.metrics; "
+                "assert 'scipy.integrate' not in sys.modules, "
+                "sorted(m for m in sys.modules if m.startswith('scipy.integrate'))")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
