@@ -2,20 +2,19 @@
 
 Vertex-centred finite volumes in RZ coordinates; the temperature dependence of
 the conductivities is resolved by Picard iteration with a banded Cholesky
-solve per sweep. Boundaries: centerline/ends adiabatic, cladding outer surface
-Robin against the coolant (re-marched every sweep when the channel is solved
-too), pellet surface coupled to the cladding inner surface by a gap
-conductance.
+solve per sweep, with the nodes numbered axial row by axial row. Boundaries:
+centerline/ends adiabatic, cladding outer surface Robin against the coolant
+(re-marched from each sweep's wall heat flux when the channel is solved too),
+pellet surface coupled to the cladding inner surface by a gap conductance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.sparse import csgraph, csr_array
 
 from .channel import ChannelState, solve_channel
 from .core import (ChannelBoundary, MaterialParams, clad_conductivity,
@@ -25,7 +24,6 @@ from .mesh import RodMesh
 
 PICARD_TOL = 0.01      # max |dT| between sweeps [K]
 PICARD_MAX_ITER = 200
-COOLANT_RELAX = 0.7    # under-relaxation on the re-marched T_cool
 
 
 def from_heat_source(src, mesh: RodMesh) -> np.ndarray:
@@ -95,8 +93,9 @@ class _FaceTable:
     conductance is factor times the harmonic-mean k of p and q, then the gap
     links, whose factor is their fixed conductance. The system matrix is
     the weighted graph Laplacian of the links plus the Robin conductances
-    on the cladding outer nodes. It is symmetric positive definite; in the
-    reverse Cuthill-McKee order of the nodes it is banded, and it is
+    on the cladding outer nodes. It is symmetric positive definite, banded
+    nr_fuel + nr_clad wide in axial-row node order (each row's fuel nodes,
+    then its cladding nodes; a link joins one row or two adjacent ones) and
     written in the upper form ``scipy.linalg.solveh_banded`` takes."""
 
     def __init__(self, mesh: RodMesh, h_gap: float):
@@ -112,17 +111,16 @@ class _FaceTable:
             [gf, gc, h_gap * 2.0 * np.pi * r_gap * np.diff(_cv_edges(mesh.z_fuel))])
         self.robin = nf + np.arange(mesh.nz) * mesh.nr_clad + (mesh.nr_clad - 1)
 
-        links = np.concatenate([self.p, self.q]), np.concatenate([self.q, self.p])
-        graph = csr_array((np.ones(links[0].size), links), shape=(n, n))
-        self.perm = csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
-        rank = np.empty(n, dtype=np.intp)
-        rank[self.perm] = np.arange(n)
-        lo = np.minimum(rank[self.p], rank[self.q])
-        hi = np.maximum(rank[self.p], rank[self.q])
+        row = np.concatenate([np.repeat(mesh.jf0 + rows, mesh.nr_fuel),
+                              np.repeat(np.arange(mesh.nz), mesh.nr_clad)])
+        self.perm = np.argsort(row, kind="stable")
+        self.rank = np.argsort(self.perm)  # node i is row rank[i] of the band
+        lo = np.minimum(self.rank[self.p], self.rank[self.q])
+        hi = np.maximum(self.rank[self.p], self.rank[self.q])
         self.bw = int((hi - lo).max())
         # flat indices into the (bw + 1, n) band: a[i, j] sits at [bw + i - j, j]
         self.link_slot = (self.bw - (hi - lo)) * n + hi
-        self.diag_slot = self.bw * n + rank
+        self.diag_slot = self.bw * n + self.rank
 
     def solve(self, k: np.ndarray, g_robin: np.ndarray,
               b: np.ndarray) -> np.ndarray:
@@ -140,9 +138,7 @@ class _FaceTable:
             x = sla.solveh_banded(band, b[self.perm], check_finite=False)
         except sla.LinAlgError as e:
             raise SolverError(f"conduction system factorization failed: {e}") from e
-        T = np.empty(n)
-        T[self.perm] = x
-        return T
+        return x[self.rank]
 
 
 _face_table = lru_cache(maxsize=16)(_FaceTable)  # one per (mesh, h_gap)
@@ -158,8 +154,8 @@ def assemble_and_solve_conduction(mesh: RodMesh, m: MaterialParams,
     Picard-iterates the conductivity nonlinearity to max|dT| < 0.01 K
     (<= 200 sweeps) with a banded Cholesky factorization per sweep. Given
     ``channel``, each sweep then re-marches the coolant from the new wall
-    heat flux, under-relaxed, so the loop is also the rod-channel fixed
-    point. The record's ``channel`` is the coolant of the last solve.
+    heat flux for the next, so the loop is also the rod-channel fixed point.
+    The record's ``channel`` is the coolant of the last solve.
     """
     faces = _face_table(mesh, m.h_gap)
     nf = mesh.n_fuel_nodes
@@ -191,9 +187,7 @@ def assemble_and_solve_conduction(mesh: RodMesh, m: MaterialParams,
             return CoupledSolution(TemperatureField.from_flat(mesh, T), coolant,
                                    it + 1, tuple(residuals))
         if channel is not None:
-            fresh = solve_channel(mesh.z, h_conv * (T[faces.robin] - T_cool), channel)
-            coolant = replace(fresh, T_cool=COOLANT_RELAX * fresh.T_cool
-                              + (1.0 - COOLANT_RELAX) * coolant.T_cool)
+            coolant = solve_channel(mesh.z, h_conv * (T[faces.robin] - T_cool), channel)
 
     raise SolverError(f"Picard iteration did not reach {PICARD_TOL} K in "
                       f"{PICARD_MAX_ITER} sweeps", residuals=residuals)

@@ -28,22 +28,11 @@ class SensorConfig:
             raise ConfigurationError(f"unknown tinf_policy {self.tinf_policy!r}")
 
 
-def _require_ints(obj, names) -> None:
-    """ConfigurationError unless each named field is an int (bool is not)."""
-    for name in names:
-        v = getattr(obj, name)
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigurationError(f"{name} must be an integer, got {v!r}")
-
-
 @dataclass(frozen=True)
 class MeshConfig:
     nr_fuel: int = 11
     nr_clad: int = 4
     nz: int = 100
-
-    def __post_init__(self):
-        _require_ints(self, ("nr_fuel", "nr_clad", "nz"))
 
 
 @dataclass(frozen=True)
@@ -61,7 +50,6 @@ class TrainSettings:
     schedule: tuple = ((300, 1e-3), (600, 1e-4), (900, 1e-5), (1200, 1e-6))
 
     def __post_init__(self):
-        _require_ints(self, ("epochs", "batch_size", "seed"))
         if self.epochs < 1:
             raise ConfigurationError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -122,19 +110,42 @@ def _tuples_to_lists(obj):
     return obj
 
 
+def _is_number(v, default=None) -> bool:  # finite; JSON true and false are ints
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) < float("inf")
+
+
+def _is_numbers(v, default) -> bool:  # a tuple nested as its default is
+    check = _is_numbers if isinstance(default[0], tuple) else _is_number
+    return isinstance(v, tuple) and all(check(x, default[0]) for x in v)
+
+
+# checks by declared type, given the default; section fields are built already
+_TYPE_CHECKS = {"int": (lambda v, _: _is_number(v) and isinstance(v, int), "an integer"),
+                "float": (_is_number, "a finite number"),
+                "tuple": (_is_numbers, "a list of finite numbers nested as the default"),
+                "bool": (lambda v, _: isinstance(v, bool), "true or false")}
+
+
+def _section(data, name: str) -> dict:
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{name!r} section must be a JSON object")
+    return data
+
+
 def _build(cls, data: dict, name: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(_section(data, name)) - set(fields)
     if unknown:
         raise ConfigurationError(f"unknown keys in {name!r} section: {sorted(unknown)}")
     coerced = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in data:
-            continue
-        v = data[f.name]
+    for key, v in data.items():
+        f = fields[key]
         if isinstance(v, list):
             v = tuple(tuple(x) if isinstance(x, list) else x for x in v)
-        coerced[f.name] = v
+        check, what = _TYPE_CHECKS.get(f.type.removesuffix(" | None"), (None, ""))
+        if check and not (check(v, f.default) or v is None and f.default is None):
+            raise ConfigurationError(f"{name}.{key} must be {what}, got {v!r}")
+        coerced[key] = v
     try:
         return cls(**coerced)
     except (TypeError, ValueError) as e:
@@ -151,24 +162,17 @@ def config_from_dict(data: dict) -> TwinConfig:
         "thermomech": ThermomechConfig,
     }
     kwargs = {}
-    data = dict(data)
+    data = dict(_section(data, "config"))
     src = data.pop("source", None)
     if src is not None:
-        extra = set(src) - {"q0", "delta_e", "burnup"}
+        extra = set(_section(src, "source")) - {"q0", "delta_e", "burnup"}
         if extra:
             raise ConfigurationError(f"unknown keys in 'source' section: {sorted(extra)}")
         kwargs.update(src)
     for key, cls in sections.items():
         if key in data:
             kwargs[key] = _build(cls, data.pop(key), key)
-    top = {f.name for f in dataclasses.fields(TwinConfig)}
-    unknown = set(data) - top
-    if unknown:
-        raise ConfigurationError(f"unknown top-level config keys: {sorted(unknown)}")
-    for k, v in data.items():
-        if isinstance(v, list):
-            v = tuple(v)
-        kwargs[k] = v
+    kwargs.update(data)
     return _build(TwinConfig, kwargs, "config")
 
 

@@ -73,10 +73,11 @@ class MaterialParams:
     T_ref: float = T_REF_DEFAULT   # stress-free temperature [K]
 
     def __post_init__(self):
-        if not (0.0 < self.nu_clad < 0.5):
-            raise ConfigurationError(f"nu_clad={self.nu_clad} outside (0, 0.5)")
-        if self.h_gap <= 0.0:
-            raise ConfigurationError("h_gap must be positive")
+        if not (0.0 < self.nu_clad < 0.5 and 0.0 < self.nu_fuel < 0.5):
+            raise ConfigurationError(f"nu_clad={self.nu_clad} and nu_fuel="
+                                     f"{self.nu_fuel} must both lie in (0, 0.5)")
+        if not (self.h_gap > 0.0 and self.E_clad > 0.0 and self.E_fuel > 0.0):
+            raise ConfigurationError("h_gap, E_clad and E_fuel must be positive")
 
 
 @dataclass(frozen=True)

@@ -489,6 +489,47 @@ class TestExitCodes:
         assert "must be an integer" in err["message"]
         assert not (tmp_path / "sim" / "field.csv").exists()
 
+    @pytest.mark.parametrize("command, section", [
+        ("strain", {"materials": {"E_fuel": "x"}}),
+        ("strain", {"materials": {"alpha_theta": None}}),
+        ("strain", {"materials": {"creep_n": "2"}}),
+        ("strain", {"thermomech": {"P_gap": "2e6"}}),
+        ("strain", {"thermomech": {"creep_duration": True}}),
+        ("strain", {"materials": {"nu_fuel": 1.0}}),
+        ("strain", {"materials": {"nu_fuel": 0.5}}),
+        ("strain", {"materials": {"E_clad": -8e10}}),
+        ("strain", {"materials": {"E_fuel": 0.0}}),
+        ("simulate", {"source": {"q0": "2e4"}}),
+        ("simulate", {"delta_e": "0.08"}),
+        ("simulate", {"materials": {"fuel_k_bu": "x"}}),
+        ("simulate", {"materials": {"clad_k_a": None}}),
+        ("simulate", {"sensors": {"eta": "1"}}),
+        ("simulate", {"sensors": {"z_fracs": [0.2, "x"]}}),
+        ("simulate", {"sensors": {"z_fracs": 0.5}}),
+        ("simulate", {"roster_train": [10e3, True]}),
+        ("simulate", {"dedupe_validation": "yes"}),
+        ("simulate", {"materials": 5}),
+        ("simulate", {"source": 5}),
+        ("strain", {"materials": {"alpha_theta": float("nan")}}),
+        ("strain", {"thermomech": {"P_gap": float("inf")}}),
+        ("simulate", {"burnup": float("nan")}),
+        ("simulate", {"sensors": {"z_fracs": [0.2, float("-inf")]}}),
+        ("simulate", {"sensors": {"z_fracs": [[0.2, 0.4], 0.6]}}),
+        ("simulate", {"roster_train": [[10e3, 20e3]]}),
+        ("simulate", {"training": {"schedule": [300, 1e-3]}}),
+    ])
+    def test_wrong_config_value_exits_3(self, tiny_run, tmp_path, command,
+                                        section):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"mesh": {"nr_fuel": 4, "nr_clad": 2, "nz": 12}, **section}))
+        argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]
+        if command == "strain":
+            argv += ["--field", str(tiny_run / "field.csv")]
+        rc, err = _assert_one_error_object(argv)
+        assert (rc, err["type"]) == (EXIT_CONFIG, "ConfigurationError")
+        assert not (tmp_path / "o").exists()
+
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["train", "--dataset", str(tmp_path / "nope"),
                    "--out-dir", str(tmp_path / "o")])

@@ -153,7 +153,10 @@ class TestBandedSolve:
         b = rng.uniform(-10.0, 100.0, mesh.n_nodes) + 600.0 * np.bincount(
             mesh.n_fuel_nodes + np.arange(mesh.nz) * mesh.nr_clad
             + mesh.nr_clad - 1, g_robin, mesh.n_nodes)
-        T = _FaceTable(mesh, MAT.h_gap).solve(k, g_robin, b)
+        faces = _FaceTable(mesh, MAT.h_gap)
+        # axial-row node order: one row of fuel and cladding nodes per band
+        assert faces.bw == nr_fuel + nr_clad
+        T = faces.solve(k, g_robin, b)
         ref = np.linalg.solve(_dense_system(mesh, k, g_robin, MAT.h_gap), b)
         np.testing.assert_allclose(T, ref, rtol=0.0, atol=1e-9)
 

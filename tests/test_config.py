@@ -106,6 +106,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=key):
             config_from_dict({section: {key: value}})
 
+    def test_null_stays_valid_where_the_default_is_none(self):
+        cfg = config_from_dict({"channel": {"flow_area": None, "D_h": None},
+                                "training": {"fixed_lr": None}})
+        assert cfg == TwinConfig()
+
     def test_integer_fields_accept_ints(self):
         cfg = config_from_dict({"mesh": {"nr_fuel": 6, "nr_clad": 3, "nz": 40},
                                 "training": {"epochs": 2, "batch_size": 8,

@@ -429,12 +429,14 @@ class TestFlatParameters:
         assert hashlib.sha256((tmp_path / "c.json").read_bytes()).hexdigest() \
             == "59f9a1fcf2e31132e05e7b2a59daf75da115914c0604f7394c884c0845092d44"
 
+    # re-recorded with TestTraining's reference values whenever the ground
+    # truth of dataset_tiny moves
     def test_checkpoint_bytes_of_trained_model(self, dataset_tiny, tmp_path):
         model, _ = train(dataset_tiny, TrainSettings(epochs=3, fixed_lr=1e-3,
                                                      seed=0))
         save_checkpoint(model, tmp_path / "c.json")
         assert hashlib.sha256((tmp_path / "c.json").read_bytes()).hexdigest() \
-            == "7691fbb822c520f288a403828fef5e2ad647d650f0cb3ce1ea89ba7e191d7e0f"
+            == "837a0f9b432c6103bb3c521aa94c27cf8d269bdfc4427381bab52431ddde92f5"
 
 
 class TestTraining:
@@ -447,11 +449,15 @@ class TestTraining:
     # when the training steps moved to float32 stacks: train_mse is then a
     # float32 batch loss and every step's float32 gradient differs from the
     # float64 one by about 1e-7 relative, so both tuples moved by up to
-    # 6e-8 relative (validation stays float64 on float64 weights)
-    REFERENCE_TRAIN_MSE = (0.33258965983986855, 0.18456808477640152,
-                           0.14328759908676147)
-    REFERENCE_VAL_MSE = (0.18764138900090585, 0.05037509539965718,
-                         0.07763474124222428)
+    # 6e-8 relative (validation stays float64 on float64 weights). They were
+    # re-recorded once more, the training code again unchanged, when the
+    # coupled loop stopped under-relaxing the re-marched coolant: the
+    # ground-truth fields moved by under 0.004 K (below the Picard
+    # tolerance), and both tuples by at most 5.3e-6 relative
+    REFERENCE_TRAIN_MSE = (0.33258895203471184, 0.18456782400608063,
+                           0.14328755252063274)
+    REFERENCE_VAL_MSE = (0.187641080266295, 0.0503753628880642,
+                         0.07763497154370025)
 
     def test_matches_per_array_reference(self, dataset_tiny):
         _, hist = train(dataset_tiny, TrainSettings(epochs=3, fixed_lr=1e-3,

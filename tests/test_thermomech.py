@@ -329,13 +329,14 @@ class TestScipyReference:
             assert np.array_equal(getattr(sf, name), getattr(sf_ref, name)), name
         assert strain == strain_ref
 
-    def test_package_does_not_import_scipy_integrate(self):
+    @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.sparse"])
+    def test_package_does_not_import(self, module):
         src = str(Path(rodtwin.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src, os.environ.get("PYTHONPATH", "")])}
         code = ("import sys, rodtwin.cli, rodtwin.thermomech, rodtwin.metrics; "
-                "assert 'scipy.integrate' not in sys.modules, "
-                "sorted(m for m in sys.modules if m.startswith('scipy.integrate'))")
+                f"assert {module!r} not in sys.modules, "
+                f"sorted(m for m in sys.modules if m.startswith({module!r}))")
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
