@@ -22,7 +22,7 @@ from .khnet import reconstruct_field, train
 from .metrics import compute_metrics
 from .pipeline import (CaseSpec, burnup_sweep, generate_dataset, roster_specs,
                        run_case)
-from .thermomech import hoop_strain_summary, stress_field
+from .thermomech import hoop_strain_rows, hoop_strain_summary, stress_field
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -109,8 +109,11 @@ def cmd_strain(args) -> int:
                                  cfg.thermomech.creep_duration)
     sf = stress_field(field, cfg.thermomech.P_gap, cfg.thermomech.P_cool,
                       cfg.materials)
+    strain = hoop_strain_rows(mesh.r_clad, field.T_clad, cfg.materials,
+                              cfg.thermomech.creep_duration)
     rio.strain_report_to_json(report, out / "strain.json")
     rio.stress_field_to_csv(sf, out / "stress.csv")
+    rio.strain_field_to_csv(strain, mesh, out / "strain.csv")
     print(f"total hoop strain {report.total:.6e} at (r, z) = {report.location}")
     return EXIT_OK
 

@@ -26,6 +26,8 @@ class SensorConfig:
     def __post_init__(self):
         if self.tinf_policy not in ("inlet", "local"):
             raise ConfigurationError(f"unknown tinf_policy {self.tinf_policy!r}")
+        if not self.eta > 0.0:   # dhat = -eta (T - T_inf) keeps its sign
+            raise ConfigurationError(f"sensors.eta must be > 0, got {self.eta}")
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,16 @@ class TrainSettings:
         thresholds = [t for t, _ in self.schedule]
         if thresholds != sorted(set(thresholds)):
             raise ConfigurationError("schedule thresholds must be strictly increasing")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigurationError(f"beta1={self.beta1} and beta2={self.beta2} "
+                                     "must both lie in [0, 1)")
+        if not self.eps > 0.0:
+            raise ConfigurationError(f"eps must be > 0, got {self.eps}")
+        rates = [lr for _, lr in self.schedule]
+        if self.fixed_lr is not None:
+            rates.append(self.fixed_lr)
+        if not all(lr > 0.0 for lr in rates):
+            raise ConfigurationError("fixed_lr and every schedule rate must be > 0")
 
 
 @dataclass(frozen=True)

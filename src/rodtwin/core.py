@@ -76,8 +76,10 @@ class MaterialParams:
         if not (0.0 < self.nu_clad < 0.5 and 0.0 < self.nu_fuel < 0.5):
             raise ConfigurationError(f"nu_clad={self.nu_clad} and nu_fuel="
                                      f"{self.nu_fuel} must both lie in (0, 0.5)")
-        if not (self.h_gap > 0.0 and self.E_clad > 0.0 and self.E_fuel > 0.0):
-            raise ConfigurationError("h_gap, E_clad and E_fuel must be positive")
+        if not (self.h_gap > 0.0 and self.E_clad > 0.0 and self.E_fuel > 0.0
+                and self.creep_n > 0.0):
+            raise ConfigurationError("h_gap, E_clad, E_fuel and creep_n must be "
+                                     "positive")
 
 
 @dataclass(frozen=True)

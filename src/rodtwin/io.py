@@ -308,6 +308,16 @@ def stress_field_to_csv(sf, path) -> None:
                [r, z, sig_r, sig_z, sig_t])
 
 
+def strain_field_to_csv(strain, mesh: RodMesh, path) -> None:
+    """Hoop-strain components of every cladding node (HoopStrain rows of
+    shape (nz, nr_clad)) in the canonical cladding node order."""
+    r, z = _node_text(mesh)
+    nf = mesh.n_fuel_nodes
+    _write_csv(path, ["r", "z", "thermal", "elastic", "creep", "total"],
+               [r[nf:], z[nf:], strain.thermal.ravel(), strain.elastic.ravel(),
+                strain.creep.ravel(), strain.total.ravel()])
+
+
 def metrics_to_json(report, path) -> None:
     with open(path, "w") as f:
         json.dump(report.to_dict(), f, indent=2)

@@ -14,6 +14,12 @@ runs both; gradients share its layout, so Adam is a few vector operations.
 Training is mixed precision (Micikevicius et al. 2018): the stacks' forward
 and backward passes run in float32 on a per-step copy of theta, while theta,
 Adam, validation, checkpoints and reconstruction stay float64.
+
+Once trained, the network is linear in the normalized sensor readings for a
+fixed mesh and sensor layout: ``KhModel.operator`` folds the kernels and the
+quadrature weights into one (N, 2M) matrix, kept on the model, so each
+deployed snapshot is one matrix-vector product. ``kh_physical_layer`` and
+``kh_integrate`` stay as the readable reference of that product.
 """
 
 from __future__ import annotations
@@ -43,7 +49,10 @@ _BOUNDS = list(accumulate((2 * math.prod(s) for s in PARAM_SHAPES.values()),
 N_PARAMS = _BOUNDS[-1]
 
 TRAIN_DTYPE = np.float32   # compute precision of the stacks in train()
-FORWARD_ROWS = 2048   # rows per dense_forward pass: bounds its peak memory
+# rows per dense_forward pass: bounds its peak memory. At 512 the largest
+# activation is 1 MB, and a training run leaves about 7 MB less freed heap
+# resident (glibc) than at 2048; each row gives the same bits (OpenBLAS)
+FORWARD_ROWS = 512
 
 DIVERGENCE_FACTOR = 10.0
 DIVERGENCE_PATIENCE = 50
@@ -170,9 +179,9 @@ class KhModel:
     norm: NormConstants
     eta: float
     theta: np.ndarray = field(init=False, repr=False, compare=False)
-    # (key, kernels) of the last layout_kernels call; see there
-    _layout: tuple | None = field(default=None, init=False, repr=False,
-                                  compare=False)
+    # (key, operator) of the last operator call; see there
+    _operator: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         _check_stack(self.G_stack, "G")
@@ -193,23 +202,29 @@ class KhModel:
         return dense_forward(stack_views(self.theta), flat).reshape(
             2, *feats.shape[:2])
 
-    def layout_kernels(self, points, sensors_rz):
-        """kernels(boundary_features(points, sensors_rz, norm)), kept for the
-        last layout: reused while theta and the float64 point (N, 2) and
-        sensor (M, 2) arrays are the same bytes and norm compares equal.
-        Sensor readings are no input, so a stream of snapshots from fixed
-        thermocouples runs the dense stacks once. The (2, N, M) array
-        returned is read-only."""
-        points = np.asarray(points, float)
+    def operator(self, mesh: RodMesh, sensors_rz, w) -> np.ndarray:
+        """The read-only (N, 2M) map [w*dG | -w*G] from the normalized
+        sensor vector concat(u_n, d_n) to the normalized temperature at the
+        N mesh nodes: kh_integrate(kh_physical_layer(u_n, d_n, G, dG), w)
+        as one matrix product.
+
+        Kept for the last layout: reused while theta is the same bytes, norm
+        compares equal, mesh is the same object (meshes are memoized) and
+        the float64 sensor (M, 2) positions and (M,) weights are the same
+        bytes. Sensor readings are no input, so a stream of snapshots from
+        fixed thermocouples runs the dense stacks once."""
         sensors_rz = np.asarray(sensors_rz, float)
-        key = (self.theta.tobytes(), self.norm, points.tobytes(),
-               sensors_rz.tobytes())
-        if self._layout is None or self._layout[0] != key:
-            kernels = self.kernels(boundary_features(points, sensors_rz,
-                                                     self.norm))
-            kernels.flags.writeable = False   # shared by every later hit
-            self._layout = (key, kernels)
-        return self._layout[1]
+        w = np.asarray(w, float)
+        key = (self.theta.tobytes(), self.norm, mesh, sensors_rz.tobytes(),
+               w.tobytes())
+        if self._operator is None or self._operator[0] != key:
+            r, z, _ = mesh.node_table()
+            g, dg = self.kernels(boundary_features(np.column_stack([r, z]),
+                                                   sensors_rz, self.norm))
+            op = np.concatenate([dg * w, -(g * w)], axis=1)
+            op.flags.writeable = False   # shared by every later hit
+            self._operator = (key, op)
+        return self._operator[1]
 
 
 def mse_loss(predictions, truths) -> float:
@@ -435,8 +450,9 @@ def reconstruct_field(model: KhModel, sensors: SensorSet,
 
     Rejects sensor arrays of unequal length, sensor temperatures that are
     not finite or normalize beyond 3, and a non-finite dhat, z, r or w. The
-    kernels come from model.layout_kernels, so consecutive calls with one
-    mesh and sensor layout run the dense stacks once."""
+    field is model.operator applied to the normalized readings, so
+    consecutive calls with one mesh and sensor layout run the dense stacks
+    once and then cost one matrix-vector product."""
     shapes = {np.shape(a) for a in (sensors.z, sensors.r, sensors.T,
                                     sensors.dhat, sensors.w)}
     if len(shapes) != 1 or len(shapes.pop()) != 1:
@@ -452,8 +468,7 @@ def reconstruct_field(model: KhModel, sensors: SensorSet,
     d_n = model.norm.norm_d(sensors.dhat)
     if not np.all(np.isfinite(d_n)):
         raise ConfigurationError("non-finite sensor dhat")
-    r, z, _ = mesh.node_table()
-    g, dg = model.layout_kernels(np.column_stack([r, z]),
-                                 np.column_stack([sensors.r, sensors.z]))
-    t_hat = kh_integrate(kh_physical_layer(u_n, d_n, g, dg), sensors.w)
+    op = model.operator(mesh, np.column_stack([sensors.r, sensors.z]),
+                        sensors.w)
+    t_hat = op @ np.concatenate([u_n, d_n])
     return TemperatureField.from_flat(mesh, model.norm.denorm_T(t_hat))

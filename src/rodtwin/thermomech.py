@@ -1,15 +1,22 @@
 """Simplified thermomechanical post-processing of a rod temperature field.
 
 Per-axial-row generalized plane strain from one thick-walled-cylinder
-thermoelastic closed form (the pellet is its solid case a = 0; all rows of a
-region are solved in one call), Norton secondary thermal creep, and
-anisotropic cladding thermal expansion. Irradiation effects are deliberately
-zero.
+thermoelastic closed form (the pellet is its solid case a = 0), Norton
+secondary thermal creep, and anisotropic cladding thermal expansion.
+Irradiation effects are deliberately zero.
+
+The closed form is affine in each radial temperature row, and its grid,
+moduli and pressures do not depend on z. So ``lame_thermoelastic_slice``
+builds, once per (grid, moduli, pressures), a matrix K and a row b with
+concat(sigma_r, sigma_theta, sigma_z, eps_theta_elastic) = T_row @ K + b;
+``stress_field`` and the hoop strain apply them to every row at once. The
+slice stays the readable reference of that product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +31,20 @@ class SliceStress:
     sigma_theta: np.ndarray
     sigma_z: np.ndarray
     eps_theta_elastic: np.ndarray
+
+
+@dataclass(frozen=True)
+class HoopStrain:
+    """Cladding hoop-strain components [-] on rows of cladding nodes, each
+    shaped as the temperature rows given."""
+
+    thermal: np.ndarray    # thermal expansion
+    elastic: np.ndarray    # elastic, from the pressure-free slice stresses
+    creep: np.ndarray      # Norton thermal creep increment
+
+    @property
+    def total(self) -> np.ndarray:
+        return self.thermal + self.creep + self.elastic
 
 
 @dataclass(frozen=True)
@@ -107,38 +128,82 @@ def lame_thermoelastic_slice(r: np.ndarray, T: np.ndarray, P_in: float,
                        eps_theta_elastic=eps_t)
 
 
-def thermal_creep_increment(sigma_theta: float, T: float, duration: float,
-                            m: MaterialParams) -> float:
-    """Single-increment Norton secondary creep hoop strain."""
+@lru_cache(maxsize=16)   # one per (radial grid, moduli, pressures)
+def _slice_operator(r_bytes: bytes, P_in: float, P_out: float, E: float,
+                    nu: float, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """lame_thermoelastic_slice on the float64 grid r_bytes as read-only
+    (K, b), K (nr, 4 nr) and b (4 nr,), so that a row T gives
+    concat(sigma_r, sigma_theta, sigma_z, eps_theta_elastic) = T @ K + b.
+
+    K is the slice of the identity rows without pressures (the slice is
+    linear in T there) and b the slice of a zero row with them."""
+    r = np.frombuffer(r_bytes)
+    parts = (lame_thermoelastic_slice(r, np.eye(r.size), 0.0, 0.0, E, nu, alpha),
+             lame_thermoelastic_slice(r, np.zeros(r.size), P_in, P_out, E, nu,
+                                      alpha))
+    K, b = (np.concatenate(astuple(p), axis=-1) for p in parts)
+    K.flags.writeable = b.flags.writeable = False
+    return K, b
+
+
+def _apply_slice(r: np.ndarray, T: np.ndarray, P_in: float, P_out: float,
+                 E: float, nu: float, alpha: float) -> SliceStress:
+    """lame_thermoelastic_slice(r, T, ...) through the cached operator: one
+    matrix product over every row of T (..., nr)."""
+    r, T = np.asarray(r, float), np.asarray(T, float)
+    if T.shape[-1:] != r.shape:
+        raise ConfigurationError(f"temperature rows of shape {T.shape} do not "
+                                 f"match the {r.size}-point radial grid")
+    K, b = _slice_operator(r.tobytes(), P_in, P_out, E, nu, alpha)
+    out = T @ K + b
+    n = r.size
+    return SliceStress(*(out[..., i:i + n] for i in range(0, 4 * n, n)))
+
+
+def thermal_creep_increment(sigma_theta, T, duration: float,
+                            m: MaterialParams):
+    """Single-increment Norton secondary creep hoop strain, elementwise over
+    hoop stresses sigma_theta [Pa] and temperatures T [K]."""
     if duration < 0.0:
         raise DomainError("duration must be >= 0")
     return (m.creep_A * abs(sigma_theta) ** m.creep_n * np.sign(sigma_theta)
             * np.exp(-m.creep_QR / T) * duration)
 
 
+def hoop_strain_rows(r_clad: np.ndarray, T_rows: np.ndarray,
+                     m: MaterialParams, duration: float) -> HoopStrain:
+    """Hoop-strain components at every node of cladding rows T_rows
+    (..., nr_clad) on the grid r_clad.
+
+    Elastic and creep use the pressure-free (temperature-induced) slice
+    stresses so each component isolates a thermal mechanism, mirroring the
+    simplified-model decomposition."""
+    sl = _apply_slice(r_clad, T_rows, 0.0, 0.0, m.E_clad, m.nu_clad,
+                      m.alpha_theta)
+    return HoopStrain(thermal=m.alpha_theta * (T_rows - m.T_ref),
+                      elastic=sl.eps_theta_elastic,
+                      creep=thermal_creep_increment(sl.sigma_theta, T_rows,
+                                                    duration, m))
+
+
 def hoop_strain_summary(field: TemperatureField, m: MaterialParams,
                         duration: float) -> StrainReport:
     """Cladding hoop-strain component breakdown at the hottest axial slice.
 
-    Evaluated at the cladding outer surface of the axial node with the highest
-    cladding temperature. Elastic and creep use the pressure-free
-    (temperature-induced) slice stresses so each component isolates a thermal
-    mechanism, mirroring the simplified-model decomposition.
+    hoop_strain_rows at the cladding outer surface of the axial node with
+    the highest cladding temperature; only that row is evaluated.
     """
     mesh = field.mesh
-    j = int(np.argmax(field.T_clad.max(axis=1)))
+    # the first maximum in row-major order lies in the first hottest row
+    j = int(np.argmax(field.T_clad)) // mesh.nr_clad
     T_slice = field.T_clad[j]
     floor = m.T_ref - 50.0
     if T_slice.min() < floor:
         raise DomainError(f"temperature below T_ref - 50 K = {floor} K")
 
-    sl = lame_thermoelastic_slice(mesh.r_clad, T_slice, 0.0, 0.0,
-                                  m.E_clad, m.nu_clad, m.alpha_theta)
-    T_surf = float(T_slice[-1])
-    thermal = m.alpha_theta * (T_surf - m.T_ref)
-    elastic = float(sl.eps_theta_elastic[-1])
-    creep = float(thermal_creep_increment(float(sl.sigma_theta[-1]), T_surf,
-                                          duration, m))
+    hs = hoop_strain_rows(mesh.r_clad, T_slice, m, duration)
+    thermal, elastic, creep = (float(a[-1]) for a in
+                               (hs.thermal, hs.elastic, hs.creep))
     total = thermal + creep + elastic
     return StrainReport(thermal=thermal, creep=creep, elastic=elastic,
                         irradiation_growth=0.0, total=total,
@@ -147,12 +212,12 @@ def hoop_strain_summary(field: TemperatureField, m: MaterialParams,
 
 def stress_field(field: TemperatureField, P_gap: float, P_cool: float,
                  m: MaterialParams) -> StressField:
-    """Stress on the whole rod mesh: all pellet rows in one call, all
-    cladding rows in another."""
+    """Stress on the whole rod mesh: one matrix product over the pellet
+    rows and one over the cladding rows."""
     mesh = field.mesh
-    fuel = lame_thermoelastic_slice(mesh.r_fuel, field.T_fuel, 0.0, P_gap,
-                                    m.E_fuel, m.nu_fuel, m.alpha_fuel)
-    clad = lame_thermoelastic_slice(mesh.r_clad, field.T_clad, P_gap, P_cool,
-                                    m.E_clad, m.nu_clad, m.alpha_theta)
+    fuel = _apply_slice(mesh.r_fuel, field.T_fuel, 0.0, P_gap, m.E_fuel,
+                        m.nu_fuel, m.alpha_fuel)
+    clad = _apply_slice(mesh.r_clad, field.T_clad, P_gap, P_cool, m.E_clad,
+                        m.nu_clad, m.alpha_theta)
     return StressField(mesh, fuel.sigma_r, fuel.sigma_theta, fuel.sigma_z,
                        clad.sigma_r, clad.sigma_theta, clad.sigma_z)

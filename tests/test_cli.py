@@ -139,8 +139,37 @@ class TestPipelineChain:
             assert main(["strain", "--config", tiny_cfg_path,
                          "--field", str(tiny_run / "field.csv"),
                          "--out-dir", str(out)]) == EXIT_OK
-        for name in ("strain.json", "stress.csv"):
+        for name in ("strain.json", "stress.csv", "strain.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_strain_csv_holds_every_cladding_node(self, tiny_cfg_path,
+                                                  tiny_run, tmp_path):
+        from rodtwin.config import load_config
+        from rodtwin.io import mesh_from_config
+        assert main(["strain", "--config", tiny_cfg_path,
+                     "--field", str(tiny_run / "field.csv"),
+                     "--out-dir", str(tmp_path)]) == EXIT_OK
+        lines = (tmp_path / "strain.csv").read_text().splitlines()
+        assert lines[0] == "r,z,thermal,elastic,creep,total"
+        rows = np.array([[float(x) for x in line.split(",")]
+                         for line in lines[1:]])
+        mesh = mesh_from_config(load_config(tiny_cfg_path))
+        r, z, region = mesh.node_table()
+        clad = np.array(region) == "cladding"
+        np.testing.assert_array_equal(rows[:, 0], r[clad])
+        np.testing.assert_array_equal(rows[:, 1], z[clad])
+        np.testing.assert_array_equal(rows[:, 5], rows[:, 2] + rows[:, 4]
+                                      + rows[:, 3])
+        # strain.json is the outer node of the hottest cladding row
+        rep = json.loads((tmp_path / "strain.json").read_text())
+        at = np.flatnonzero((rows[:, 0] == rep["location"]["r"])
+                            & (rows[:, 1] == rep["location"]["z"]))
+        assert at.size == 1
+        for col, key in ((2, "thermal_expansion_hoop_strain"),
+                         (3, "elastic_hoop_strain"), (4, "creep_hoop_strain"),
+                         (5, "total_hoop_strain")):
+            assert rows[at[0], col] == pytest.approx(rep[key], rel=1e-12,
+                                                     abs=0.0)
 
     def test_generate_is_deterministic(self, tiny_cfg_path, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -517,6 +546,17 @@ class TestExitCodes:
         ("simulate", {"sensors": {"z_fracs": [[0.2, 0.4], 0.6]}}),
         ("simulate", {"roster_train": [[10e3, 20e3]]}),
         ("simulate", {"training": {"schedule": [300, 1e-3]}}),
+        ("simulate", {"training": {"beta1": 2.0}}),
+        ("simulate", {"training": {"beta1": -0.1}}),
+        ("simulate", {"training": {"beta2": 1.0}}),
+        ("simulate", {"training": {"eps": 0.0}}),
+        ("simulate", {"training": {"eps": -1e-8}}),
+        ("simulate", {"training": {"fixed_lr": 0.0}}),
+        ("simulate", {"training": {"schedule": [[300, 1e-3], [600, -1e-4]]}}),
+        ("simulate", {"sensors": {"eta": -1.0}}),
+        ("simulate", {"sensors": {"eta": 0.0}}),
+        ("strain", {"materials": {"creep_n": -3}}),
+        ("simulate", {"materials": {"creep_n": -3}}),
     ])
     def test_wrong_config_value_exits_3(self, tiny_run, tmp_path, command,
                                         section):

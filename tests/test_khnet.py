@@ -596,8 +596,14 @@ def _replace_norm(model, sensors, mesh):
     return sensors, mesh
 
 
+def _change_weights(model, sensors, mesh):
+    w = sensors.w.copy()
+    w[[0, -1]] = 0.7 * w[0], 1.3 * w[-1]
+    return replace(sensors, w=w), mesh
+
+
 class TestLayoutKernels:
-    """reconstruct_field keeps the kernels of the last layout on the model;
+    """reconstruct_field keeps the operator of the last layout on the model;
     every result must be the bits a model without that cache gives."""
 
     @pytest.fixture
@@ -623,19 +629,54 @@ class TestLayoutKernels:
         assert calls == ["boundary_features", "dense_forward"]
         assert _bits(warm) == _bits(cold)
 
-    def test_kept_kernels_are_read_only(self, setup):
+    def test_kept_operator_is_read_only(self, setup):
+        model, sensors, mesh = setup
+        op = model.operator(mesh, np.column_stack([sensors.r, sensors.z]),
+                            sensors.w)
+        assert op.shape == (mesh.n_nodes, 2 * sensors.T.size)
+        assert op.dtype == np.float64
+        with pytest.raises(ValueError):
+            op[0, 0] = 0.0
+
+    def test_matches_integrand_reference(self, setup):
+        # the operator is kh_integrate(kh_physical_layer(...)) as one product
         model, sensors, mesh = setup
         r, z, _ = mesh.node_table()
-        for k in model.layout_kernels(np.column_stack([r, z]),
-                                      np.column_stack([sensors.r, sensors.z])):
-            with pytest.raises(ValueError):
-                k[0, 0] = 0.0
+        g, dg = model.kernels(boundary_features(
+            np.column_stack([r, z]), np.column_stack([sensors.r, sensors.z]),
+            model.norm))
+        for seed in range(3):
+            snap = _snapshot(sensors, seed)
+            ref = model.norm.denorm_T(kh_integrate(kh_physical_layer(
+                model.norm.norm_T(snap.T), model.norm.norm_d(snap.dhat), g, dg),
+                snap.w))
+            got = reconstruct_field(model, snap, mesh).flatten()
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_model_after_a_deleted_one_matches_cold_model(self, setup):
+        # the operator lives on its model: a new model that may reuse a
+        # freed model's id starts cold
+        import gc
+        model, sensors, mesh = setup
+        first = _cold(model)
+        reconstruct_field(first, _snapshot(sensors, 0), mesh)
+        del first
+        gc.collect()
+        rng = np.random.default_rng(12)
+        second = KhModel(G_stack=init_stack(rng), dG_stack=init_stack(rng),
+                         norm=model.norm, eta=1.0)
+        got = reconstruct_field(second, _snapshot(sensors, 0), mesh)
+        assert _bits(got) == _bits(
+            reconstruct_field(_cold(second), _snapshot(sensors, 0), mesh))
+        assert _bits(got) != _bits(
+            reconstruct_field(model, _snapshot(sensors, 0), mesh))
 
     @pytest.mark.parametrize("change", [_edit_view, _adam, _move_sensor,
-                                        _other_mesh, _replace_norm],
+                                        _other_mesh, _replace_norm,
+                                        _change_weights],
                              ids=["stack-view-write", "adam-step",
                                   "moved-sensor", "other-mesh",
-                                  "replaced-norm"])
+                                  "replaced-norm", "changed-weights"])
     def test_change_after_warm_call_matches_cold_model(self, setup, change):
         model, sensors, mesh = setup
         warm = reconstruct_field(model, _snapshot(sensors, 0), mesh)

@@ -15,8 +15,9 @@ from rodtwin.conduction import TemperatureField
 from rodtwin.core import MaterialParams, RodGeometry
 from rodtwin.errors import ConfigurationError, DomainError
 from rodtwin.mesh import build_rod_mesh
-from rodtwin.thermomech import (hoop_strain_summary, lame_thermoelastic_slice,
-                                stress_field, thermal_creep_increment)
+from rodtwin.thermomech import (hoop_strain_rows, hoop_strain_summary,
+                                lame_thermoelastic_slice, stress_field,
+                                thermal_creep_increment)
 
 GEOM = RodGeometry()
 MAT = MaterialParams()
@@ -230,7 +231,63 @@ class TestHoopStrainSummary:
             hoop_strain_summary(_uniform_field(200.0), MAT, 3.47e7)
 
 
+class TestHoopStrainRows:
+    def test_summary_reads_the_hottest_outer_node(self, coupled20):
+        field = coupled20.field
+        rows = hoop_strain_rows(field.mesh.r_clad, field.T_clad, MAT, 3.47e7)
+        rep = hoop_strain_summary(field, MAT, 3.47e7)
+        j = int(np.argmax(field.T_clad.max(axis=1)))
+        for name in ("thermal", "creep", "elastic", "total"):
+            assert getattr(rep, name) == pytest.approx(
+                getattr(rows, name)[j, -1], rel=1e-12, abs=0.0), name
+
+    def test_rows_match_the_slice(self, coupled20):
+        # relative to the largest value of the field: rows with a nearly
+        # uniform temperature carry roundoff-sized stresses
+        field = coupled20.field
+        T = field.T_clad
+        rows = hoop_strain_rows(field.mesh.r_clad, T, MAT, 3.47e7)
+        assert rows.total.shape == T.shape
+        sl = lame_thermoelastic_slice(field.mesh.r_clad, T, 0.0, 0.0,
+                                      MAT.E_clad, MAT.nu_clad, MAT.alpha_theta)
+        assert _rel_err(rows.elastic, sl.eps_theta_elastic) <= 1e-12
+        assert _rel_err(rows.creep, thermal_creep_increment(
+            sl.sigma_theta, T, 3.47e7, MAT)) <= 1e-12
+        np.testing.assert_array_equal(rows.thermal,
+                                      MAT.alpha_theta * (T - MAT.T_ref))
+
+
 class TestStressField:
+    def test_warm_call_runs_no_slice(self, coupled20, monkeypatch):
+        stress_field(coupled20.field, 2e6, 15.51e6, MAT)
+        hoop_strain_summary(coupled20.field, MAT, 3.47e7)
+        calls = []
+        monkeypatch.setattr(thermomech, "lame_thermoelastic_slice",
+                            lambda *a: calls.append(a))
+        stress_field(coupled20.field, 2e6, 15.51e6, MAT)
+        hoop_strain_summary(coupled20.field, MAT, 3.47e7)
+        assert calls == []
+
+    def test_operator_is_cached_and_read_only(self, coupled20):
+        r = coupled20.field.mesh.r_clad
+        K, b = thermomech._slice_operator(r.tobytes(), 2e6, 15.51e6,
+                                          MAT.E_clad, MAT.nu_clad,
+                                          MAT.alpha_theta)
+        assert (K.shape, b.shape) == ((r.size, 4 * r.size), (4 * r.size,))
+        assert thermomech._slice_operator(r.tobytes(), 2e6, 15.51e6,
+                                          MAT.E_clad, MAT.nu_clad,
+                                          MAT.alpha_theta)[0] is K
+        for a in (K, b):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_rows_must_match_grid(self, coupled20):
+        f = coupled20.field
+        bad = TemperatureField(mesh=f.mesh, T_fuel=f.T_fuel,
+                               T_clad=f.T_clad[:, :-1])
+        with pytest.raises(ConfigurationError):
+            stress_field(bad, 2e6, 15.51e6, MAT)
+
     def test_traction_boundaries(self, coupled20):
         sf = stress_field(coupled20.field, 2e6, 15.51e6, MAT)
         np.testing.assert_allclose(sf.clad_sigma_r[:, 0], -2e6, rtol=1e-9)
@@ -288,9 +345,39 @@ _STRESS_FIELDS = ("fuel_sigma_r", "fuel_sigma_theta", "fuel_sigma_z",
                   "clad_sigma_r", "clad_sigma_theta", "clad_sigma_z")
 
 
+def _rel_err(got, ref) -> float:
+    """Largest difference over the largest reference magnitude."""
+    got, ref = np.asarray(got, float), np.asarray(ref, float)
+    assert got.shape == ref.shape
+    return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+
+def _reference_outputs(field, slice_fn, P_gap, P_cool, duration):
+    """The six stress_field arrays and the hottest outer-node (thermal,
+    creep, elastic) hoop strain, each from one slice_fn call per region."""
+    mesh = field.mesh
+    fuel = slice_fn(mesh.r_fuel, field.T_fuel, 0.0, P_gap, MAT.E_fuel,
+                    MAT.nu_fuel, MAT.alpha_fuel)
+    clad = slice_fn(mesh.r_clad, field.T_clad, P_gap, P_cool, MAT.E_clad,
+                    MAT.nu_clad, MAT.alpha_theta)
+    stresses = [getattr(sl, f) for sl in (fuel, clad)
+                for f in ("sigma_r", "sigma_theta", "sigma_z")]
+    j = int(np.argmax(field.T_clad.max(axis=1)))
+    T = field.T_clad[j]
+    free = slice_fn(mesh.r_clad, T, 0.0, 0.0, MAT.E_clad, MAT.nu_clad,
+                    MAT.alpha_theta)
+    strain = (MAT.alpha_theta * (T[-1] - MAT.T_ref),
+              thermal_creep_increment(free.sigma_theta[-1], T[-1], duration,
+                                      MAT),
+              free.eps_theta_elastic[-1])
+    return stresses, strain
+
+
 class TestScipyReference:
     """The radial integrals are numpy trapezoids written as scipy.integrate
-    writes them, so every stress and strain is bit-identical to scipy's."""
+    writes them, so the slice is bit-identical to scipy's; stress_field and
+    the hoop strain apply the slice as a cached affine operator and agree
+    with it to 1e-12 relative."""
 
     @pytest.mark.parametrize("grid", ["annulus", "solid", "random-annulus",
                                       "random-solid"])
@@ -312,22 +399,22 @@ class TestScipyReference:
 
     @pytest.mark.parametrize("noise_k", [0.0, 5.0])
     def test_stress_field_and_hoop_strain_equal_scipy_reference(
-            self, coupled20, noise_k, rng, monkeypatch):
+            self, coupled20, noise_k, rng):
         f = coupled20.field
         field = TemperatureField(
             mesh=f.mesh, T_fuel=f.T_fuel + rng.normal(0.0, noise_k, f.T_fuel.shape),
             T_clad=f.T_clad + rng.normal(0.0, noise_k, f.T_clad.shape))
-
-        def outputs():
-            return (stress_field(field, 2e6, 15.51e6, MAT),
-                    hoop_strain_summary(field, MAT, 3.47e7))
-        sf, strain = outputs()
-        monkeypatch.setattr(thermomech, "lame_thermoelastic_slice",
-                            _scipy_slice)
-        sf_ref, strain_ref = outputs()
-        for name in _STRESS_FIELDS:
-            assert np.array_equal(getattr(sf, name), getattr(sf_ref, name)), name
-        assert strain == strain_ref
+        sf = stress_field(field, 2e6, 15.51e6, MAT)
+        strain = hoop_strain_summary(field, MAT, 3.47e7)
+        got = ([getattr(sf, name) for name in _STRESS_FIELDS],
+               (strain.thermal, strain.creep, strain.elastic))
+        for slice_fn in (lame_thermoelastic_slice, _scipy_slice):
+            ref = _reference_outputs(field, slice_fn, 2e6, 15.51e6, 3.47e7)
+            for name, a, b in zip(_STRESS_FIELDS, got[0], ref[0]):
+                assert _rel_err(a, b) <= 1e-12, name
+            for a, b in zip(got[1], ref[1]):
+                assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+        assert strain.total == strain.thermal + strain.creep + strain.elastic
 
     @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.sparse"])
     def test_package_does_not_import(self, module):
